@@ -6,8 +6,12 @@ every codeword's log-likelihood at once, so everything a channel must
 provide is that vector plus (for simulation) a sampler.
 
 Zero transition probabilities are legal and become -inf log entries; the
-product kernels only ever add selected entries, so -inf is propagated but
-never multiplied.
+product kernels only ever add, and no log entry is +inf, so -inf is
+propagated exactly and never multiplied.
+
+Observations may come as a batch, one word per row of an ``(B, n)`` array;
+the sampler then draws B words in one call and the likelihood vectors come
+back as ``(B, n*q)`` rows, each equal to the vector of its word alone.
 """
 
 from __future__ import annotations
@@ -149,15 +153,15 @@ class ContinuousChannel:
         return cls(sigma=float(sigma), constellation=np.asarray(constellation))
 
     def log_density(self, received: np.ndarray) -> np.ndarray:
-        """Per-position densities: entry (i, s-1) is log f(y_i | symbol s)."""
+        """Per-position densities: entry (..., i, s-1) is log f(y_i | symbol s)."""
         y = np.asarray(received, dtype=np.float64)
-        if y.ndim != 1:
-            msg = "received values must be a 1-d vector"
+        if y.ndim not in (1, 2):
+            msg = "received values must be an (n,) vector or a (B, n) batch"
             raise InvalidParams(msg)
         if not np.isfinite(y).all():
             msg = "received values must be finite"
             raise ObservationOutOfAlphabet(msg)
-        diff = y[:, None] - self.constellation[None, :]
+        diff = y[..., None] - self.constellation
         return -math.log(self.sigma) - _LOG_SQRT_2PI - diff**2 / (2.0 * self.sigma**2)
 
 
@@ -179,14 +183,17 @@ class ErasureChannel:
 
 @dataclass(frozen=True)
 class ErasureObservation:
-    """Received binary word with erasures: entries 0, 1, or ERASED (-1)."""
+    """Received binary word with erasures: entries 0, 1, or ERASED (-1).
+
+    ``values`` is one word ``(n,)`` or a batch of words ``(B, n)``.
+    """
 
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.int64)
-        if values.ndim != 1 or values.shape[0] < 1:
-            msg = "an observation must be a non-empty 1-d vector"
+        if values.ndim not in (1, 2) or values.shape[-1] < 1:
+            msg = "an observation must be a non-empty (n,) vector or a (B, n) batch"
             raise InvalidParams(msg)
         if not np.isin(values, (0, 1, ERASED)).all():
             msg = "erasure observations hold only 0, 1, or the erasure marker"
@@ -196,11 +203,13 @@ class ErasureObservation:
 
     @property
     def n(self) -> int:
-        return int(self.values.shape[0])
+        return int(self.values.shape[-1])
 
     @property
-    def erasure_count(self) -> int:
-        return int((self.values == ERASED).sum())
+    def erasure_count(self) -> int | np.ndarray:
+        """Erased positions: an int for one word, a ``(B,)`` array for a batch."""
+        counts = (self.values == ERASED).sum(axis=-1)
+        return int(counts) if self.values.ndim == 1 else counts
 
     @classmethod
     def from_string(cls, text: str) -> "ErasureObservation":
@@ -284,8 +293,8 @@ class IsiChannel:
 
 def _check_discrete_observation(out_size: int, received: np.ndarray) -> np.ndarray:
     y = np.asarray(received, dtype=np.int64)
-    if y.ndim != 1 or y.shape[0] < 1:
-        msg = "an observation must be a non-empty 1-d vector"
+    if y.ndim not in (1, 2) or y.size < 1:
+        msg = "an observation must be a non-empty (n,) vector or a (B, n) batch"
         raise InvalidParams(msg)
     if y.min() < 1 or y.max() > out_size:
         msg = f"received symbols must lie in 1..{out_size}"
@@ -294,12 +303,16 @@ def _check_discrete_observation(out_size: int, received: np.ndarray) -> np.ndarr
 
 
 def conditional_probability_vector(channel, received: np.ndarray) -> np.ndarray:
-    """Length n*q log-likelihood vector: block i holds log P(y_i | x = 1..q)."""
+    """Length n*q log-likelihood vector: block i holds log P(y_i | x = 1..q).
+
+    A ``(B, n)`` batch of observations gives ``(B, n*q)``, one row per word.
+    """
     if isinstance(channel, DiscreteChannel):
         y = _check_discrete_observation(channel.output_alphabet_size, received)
-        return channel.log_transition[:, y - 1].T.ravel()
+        return channel.log_transition.T[y - 1].reshape(y.shape[:-1] + (-1,))
     if isinstance(channel, ContinuousChannel):
-        return channel.log_density(received).ravel()
+        density = channel.log_density(received)
+        return density.reshape(density.shape[:-2] + (-1,))
     msg = f"no likelihood vector for channel type {type(channel).__name__}"
     raise InvalidParams(msg)
 
@@ -307,12 +320,15 @@ def conditional_probability_vector(channel, received: np.ndarray) -> np.ndarray:
 def conditional_probability_vector_isi(
     channel: IsiChannel, received: np.ndarray
 ) -> np.ndarray:
-    """Length n*q^(L+1) vector: block i holds log P(y_i | every symbol tuple)."""
+    """Length n*q^(L+1) vector: block i holds log P(y_i | every symbol tuple).
+
+    A ``(B, n)`` batch of observations gives one such row per word.
+    """
     if not isinstance(channel, IsiChannel):
         msg = f"expected an IsiChannel, got {type(channel).__name__}"
         raise InvalidParams(msg)
     y = _check_discrete_observation(channel.output_alphabet_size, received)
-    return channel.log_transition[:, y - 1].T.ravel()
+    return channel.log_transition.T[y - 1].reshape(y.shape[:-1] + (-1,))
 
 
 def bipolar_received_vector(observation: ErasureObservation) -> np.ndarray:
@@ -324,10 +340,9 @@ def bipolar_received_vector(observation: ErasureObservation) -> np.ndarray:
 def _sample_categorical(
     log_rows: np.ndarray, row_index: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    probs = np.exp(log_rows[row_index])
-    cumulative = np.cumsum(probs, axis=1)
-    draws = rng.random((row_index.shape[0], 1))
-    picks = (draws > cumulative).sum(axis=1)
+    cumulative = np.cumsum(np.exp(log_rows), axis=1)[row_index]
+    draws = rng.random(row_index.shape + (1,))
+    picks = (draws > cumulative).sum(axis=-1)
     return np.minimum(picks, log_rows.shape[1] - 1) + 1
 
 
@@ -336,7 +351,9 @@ def sample_channel(channel, codeword: np.ndarray, rng) -> np.ndarray | ErasureOb
 
     ``rng`` may be a seed or a numpy Generator.  Returns 1-based output
     symbols for discrete channels, floats for continuous ones, and an
-    ErasureObservation for the erasure channel.
+    ErasureObservation for the erasure channel.  A ``(B, n)`` batch of
+    codewords gives B received words in one call, drawing exactly what B
+    single-word calls would draw in turn.
     """
     rng = np.random.default_rng(rng)
     if isinstance(channel, DiscreteChannel):
@@ -345,11 +362,11 @@ def sample_channel(channel, codeword: np.ndarray, rng) -> np.ndarray | ErasureOb
     if isinstance(channel, ContinuousChannel):
         word = validate_symbols(channel.q, codeword)
         points = channel.constellation[word - 1]
-        return points + channel.sigma * rng.standard_normal(word.shape[0])
+        return points + channel.sigma * rng.standard_normal(word.shape)
     if isinstance(channel, ErasureChannel):
         word = validate_symbols(2, codeword)
         bits = word - 1
-        erased = rng.random(word.shape[0]) < channel.erasure_probability
+        erased = rng.random(word.shape) < channel.erasure_probability
         return ErasureObservation(values=np.where(erased, ERASED, bits))
     if isinstance(channel, IsiChannel):
         idx = tuple_indices(channel.q, channel.memory, codeword, channel.initial_symbol)

@@ -173,10 +173,10 @@ def _rank_mod_q(matrix: np.ndarray, q: int) -> int:
 
 
 def validate_symbols(q: int, word: np.ndarray) -> np.ndarray:
-    """Check a 1-based symbol vector and return it as int64."""
+    """Check 1-based symbols of one word ``(n,)`` or of words ``(..., n)``; return int64."""
     word = np.asarray(word, dtype=np.int64)
-    if word.ndim != 1:
-        msg = "a word must be a 1-d vector"
+    if word.ndim < 1:
+        msg = "a word must hold its symbols along a last axis"
         raise InvalidParams(msg)
     if word.size and (word.min() < 1 or word.max() > q):
         msg = f"symbols must lie in 1..{q}"
@@ -216,6 +216,9 @@ def random_linear_code(q: int, n: int, k: int, seed: int) -> LinearCode:
 def incidence_vector(q: int, codeword: np.ndarray) -> np.ndarray:
     """Stacked one-hot encoding of a codeword: rows i*q + (c_i - 1) are 1."""
     word = validate_symbols(q, codeword)
+    if word.ndim != 1:
+        msg = "a word must be a 1-d vector"
+        raise InvalidParams(msg)
     out = np.zeros(word.shape[0] * q, dtype=np.uint8)
     out[np.arange(word.shape[0]) * q + (word - 1)] = 1
     return out
@@ -227,7 +230,9 @@ def tuple_indices(
     """Base-q index of each position's (current symbol, L predecessors) tuple.
 
     The current symbol is the most significant digit; positions before the
-    start of the word read the initial symbol.
+    start of the word read the initial symbol.  ``codeword`` is one word
+    ``(n,)`` or words stacked along leading axes ``(..., n)``; the indices
+    take the same shape.
     """
     if memory < 0:
         msg = f"memory must be >= 0, got {memory}"
@@ -237,9 +242,10 @@ def tuple_indices(
         raise SymbolOutOfRange(msg)
     word = validate_symbols(q, codeword)
     padded = np.concatenate(
-        [np.full(memory, initial_symbol - 1, dtype=np.int64), word - 1]
+        [np.full(word.shape[:-1] + (memory,), initial_symbol - 1, dtype=np.int64), word - 1],
+        axis=-1,
     )
-    windows = np.lib.stride_tricks.sliding_window_view(padded, memory + 1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, memory + 1, axis=-1)
     powers = q ** np.arange(memory + 1, dtype=np.int64)
     return windows @ powers
 
@@ -248,6 +254,9 @@ def incidence_vector_isi(
     q: int, memory: int, codeword: np.ndarray, initial_symbol: int = 1
 ) -> np.ndarray:
     """One-hot encoding over symbol tuples; block width q^(memory+1)."""
+    if np.ndim(codeword) != 1:
+        msg = "a word must be a 1-d vector"
+        raise InvalidParams(msg)
     idx = tuple_indices(q, memory, codeword, initial_symbol)
     width = q ** (memory + 1)
     out = np.zeros(idx.shape[0] * width, dtype=np.uint8)
@@ -291,13 +300,7 @@ def build_codebook_matrix_isi(
     code: Code, memory: int, initial_symbol: int = 1
 ) -> CodebookMatrix:
     """Codebook matrix over symbol tuples for channels with ``memory`` taps."""
-    idx = np.stack(
-        [
-            tuple_indices(code.q, memory, word, initial_symbol)
-            for word in code.codewords
-        ],
-        axis=1,
-    )
+    idx = tuple_indices(code.q, memory, code.codewords, initial_symbol).T
     width = code.q ** (memory + 1)
     return _assemble_codebook(code, idx, width, memory=memory, initial=initial_symbol)
 
@@ -332,15 +335,18 @@ def parity_check_from_generator(linear: LinearCode) -> np.ndarray:
 
 
 def syndrome(parity_check: np.ndarray, word: np.ndarray, q: int) -> np.ndarray:
-    """Syndrome H @ word over F_q; ``word`` holds field elements 0..q-1."""
+    """Syndrome H @ word over F_q; ``word`` holds field elements 0..q-1.
+
+    A ``(B, n)`` batch of words gives ``(B, n-k)`` syndromes, one per row.
+    """
     word = np.asarray(word, dtype=np.int64)
-    if word.shape != (parity_check.shape[1],):
+    if word.ndim not in (1, 2) or word.shape[-1] != parity_check.shape[1]:
         msg = f"word length {word.shape} does not match H columns {parity_check.shape[1]}"
         raise InvalidParams(msg)
     if word.size and (word.min() < 0 or word.max() >= q):
         msg = f"field elements must lie in 0..{q - 1}"
         raise SymbolOutOfRange(msg)
-    return (parity_check @ word) % q
+    return (word @ parity_check.T) % q
 
 
 def _weight_class(n: int, q: int, weight: int):

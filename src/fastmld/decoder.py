@@ -9,11 +9,15 @@ stable: index i always refers to row i-1 of ``code.codewords``.
 Ties are exact by default: the tie set holds every index whose score is
 ``>= max - tie_tolerance`` with tolerance 0, and the reported best index is
 the smallest of them.
+
+Every decoder also takes a batch: observations stacked along a leading
+axis decode through one batched product, and each result field gains that
+axis (see ``DecodeResult``).  Row b of a batched result equals the result
+of decoding observation b alone.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,38 +62,53 @@ from .mailman import (
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Outcome of a single decode.
+    """Outcome of a decode.
 
     ``implausible`` is set when every codeword scored -inf (the observation
     has probability zero under the whole code); the result then reports
     index 1 with all indices tied, carrying no information.
+
+    For a batch of B observations every field is a per-row array:
+    ``best_index``, ``best_score`` and ``implausible`` are ``(B,)``,
+    ``best_codeword`` is ``(B, n)``, ``scores`` is ``(B, S)``, and ``ties``
+    is a ``(B, S)`` boolean mask whose row b marks the tie set of row b.
     """
 
-    best_index: int
+    best_index: int | np.ndarray
     best_codeword: np.ndarray = field(repr=False)
-    best_score: float
-    ties: tuple[int, ...]
+    best_score: float | np.ndarray
+    ties: tuple[int, ...] | np.ndarray
     scores: np.ndarray = field(repr=False)
-    implausible: bool = False
+    implausible: bool | np.ndarray = False
 
 
 @dataclass(frozen=True)
 class ListDecodeResult:
-    """Top of the ranking: (index, score) pairs, best first."""
+    """Top of the ranking, best first: 1-based indices and their scores.
 
-    entries: tuple[tuple[int, float], ...]
+    For one observation both are tuples of length L; for a batch of B they
+    are ``(B, L)`` arrays, row b ranking observation b.
+    """
+
+    indices: tuple[int, ...] | np.ndarray
+    scores: tuple[float, ...] | np.ndarray = field(repr=False)
 
     @property
-    def indices(self) -> tuple[int, ...]:
-        return tuple(index for index, _ in self.entries)
+    def entries(self) -> tuple[tuple[int, float], ...]:
+        """(index, score) pairs of a single observation's list."""
+        return tuple(zip(self.indices, self.scores))
 
 
 @dataclass(frozen=True)
 class SyndromeResult:
-    """Syndrome decode outcome: corrected bits plus the coset-leader row used."""
+    """Syndrome decode outcome: corrected bits plus the coset-leader row used.
+
+    For a batch of B words: ``codeword`` is ``(B, n)``, ``leader_index``
+    ``(B,)`` and ``distances`` ``(B, 2^(n-k))``.
+    """
 
     codeword: np.ndarray = field(repr=False)
-    leader_index: int
+    leader_index: int | np.ndarray
     distances: np.ndarray = field(repr=False)
 
 
@@ -99,12 +118,16 @@ def argmax_scan(scores: np.ndarray, tie_tolerance: float = 0.0) -> tuple[int, tu
     if scores.ndim != 1 or scores.shape[0] < 1:
         msg = "scores must be a non-empty 1-d vector"
         raise InvalidParams(msg)
+    ties = tuple(int(j) + 1 for j in np.flatnonzero(_tie_mask(scores, tie_tolerance)))
+    return ties[0], ties
+
+
+def _tie_mask(scores: np.ndarray, tie_tolerance: float) -> np.ndarray:
+    """Marks, per row of ``scores``, every entry within tolerance of the row's max."""
     if not (np.isfinite(tie_tolerance) and tie_tolerance >= 0.0):
         msg = f"tie tolerance must be finite and >= 0, got {tie_tolerance}"
         raise InvalidParams(msg)
-    top = scores.max()
-    ties = tuple(int(j) + 1 for j in np.flatnonzero(scores >= top - tie_tolerance))
-    return ties[0], ties
+    return scores >= scores.max(axis=-1, keepdims=True) - tie_tolerance
 
 
 def _score_product(
@@ -116,15 +139,22 @@ def _score_product(
 
 
 def _finish(code: Code, scores: np.ndarray, tie_tolerance: float) -> DecodeResult:
-    best, ties = argmax_scan(scores, tie_tolerance)
-    best_score = float(scores[best - 1])
+    if scores.ndim == 1:
+        best, ties = argmax_scan(scores, tie_tolerance)
+        best_score = float(scores[best - 1])
+        implausible = bool(np.isneginf(best_score))
+    else:
+        ties = _tie_mask(scores, tie_tolerance)
+        best = ties.argmax(axis=1) + 1
+        best_score = scores[np.arange(scores.shape[0]), best - 1]
+        implausible = np.isneginf(best_score)
     return DecodeResult(
         best_index=best,
         best_codeword=code.codewords[best - 1],
         best_score=best_score,
         ties=ties,
         scores=scores,
-        implausible=bool(np.isneginf(best_score)),
+        implausible=implausible,
     )
 
 
@@ -154,15 +184,15 @@ def ml_decode(
     tie_tolerance: float = 0.0,
     ops: OpCount | None = None,
 ) -> DecodeResult:
-    """Exact maximum-likelihood decode of one observation.
+    """Exact maximum-likelihood decode of one observation ``(n,)`` or a batch ``(B, n)``.
 
     Scores every codeword's log-likelihood in one vector-matrix product and
     returns the argmax; works for any code, discrete or Gaussian channel.
     """
     _check_memoryless(codebook, code, channel)
     vector = conditional_probability_vector(channel, received)
-    if vector.shape[0] != codebook.rows:
-        msg = f"observation of length {vector.shape[0] // code.q} does not match n={code.n}"
+    if vector.shape[-1] != codebook.rows:
+        msg = f"observation of length {vector.shape[-1] // code.q} does not match n={code.n}"
         raise DimensionMismatch(msg)
     scores = _score_product(vector, codebook, ops)
     return _finish(code, scores, tie_tolerance)
@@ -178,28 +208,28 @@ def list_decode(
 ) -> ListDecodeResult:
     """The ``list_size`` most likely codewords, best first.
 
-    Ranking is by score descending with ascending index breaking ties, kept
-    in a bounded min-heap, so the result is always a prefix of the full
-    sorted ranking.
+    Ranking is by score descending with ascending index breaking ties, so
+    the result is always a prefix of the full sorted ranking; a ``(B, n)``
+    batch ranks each row.
     """
     _check_memoryless(codebook, code, channel)
     if not 1 <= list_size <= code.size:
         msg = f"list size {list_size} outside 1..{code.size}"
         raise ListSizeOutOfRange(msg)
     vector = conditional_probability_vector(channel, received)
-    if vector.shape[0] != codebook.rows:
-        msg = f"observation of length {vector.shape[0] // code.q} does not match n={code.n}"
+    if vector.shape[-1] != codebook.rows:
+        msg = f"observation of length {vector.shape[-1] // code.q} does not match n={code.n}"
         raise DimensionMismatch(msg)
     scores = _score_product(vector, codebook, ops)
-    heap: list[tuple[float, int]] = []
-    for j, score in enumerate(scores):
-        item = (float(score), -j)
-        if len(heap) < list_size:
-            heapq.heappush(heap, item)
-        elif item > heap[0]:
-            heapq.heapreplace(heap, item)
-    ranked = sorted(heap, key=lambda item: (-item[0], -item[1]))
-    return ListDecodeResult(entries=tuple((-neg + 1, score) for score, neg in ranked))
+    # Stable sort of the negated scores: descending, lower index first on
+    # ties, -inf last; negation is exact, so the ranking is too.
+    order = np.argsort(-scores, axis=-1, kind="stable")[..., :list_size]
+    top = np.take_along_axis(scores, order, axis=-1)
+    if scores.ndim == 2:
+        return ListDecodeResult(indices=order + 1, scores=top)
+    return ListDecodeResult(
+        indices=tuple(int(j) + 1 for j in order), scores=tuple(float(x) for x in top)
+    )
 
 
 def erasure_decode(
@@ -209,7 +239,7 @@ def erasure_decode(
     tie_tolerance: float = 0.0,
     ops: OpCount | None = None,
 ) -> DecodeResult:
-    """Decode a binary word with erasures by match counting.
+    """Decode a binary word with erasures, or a ``(B, n)`` batch of them, by match counting.
 
     The +1/-1/0 received vector times the +/-1 codeword matrix scores each
     codeword as (unerased matches) - (unerased mismatches); a codeword
@@ -281,13 +311,14 @@ def syndrome_decode(
 
     Encodes the received word's syndrome, multiplies it by the syndrome
     matrix to get its Hamming distance to every coset's syndrome, picks the
-    (necessarily unique) zero, and subtracts that coset's leader.
+    (necessarily unique) zero, and subtracts that coset's leader.  Takes one
+    word ``(n,)`` or a batch ``(B, n)``.
     """
     if linear.q != 2:
         msg = f"syndrome decoding is defined for binary codes, got q={linear.q}"
         raise NonBinaryCode(msg)
     bits = np.asarray(received_bits, dtype=np.int64)
-    if bits.shape != (linear.n,):
+    if bits.ndim not in (1, 2) or bits.shape[-1] != linear.n:
         msg = f"received word must hold {linear.n} bits"
         raise DimensionMismatch(msg)
     if bits.size and (bits.min() < 0 or bits.max() > 1):
@@ -299,18 +330,17 @@ def syndrome_decode(
         raise DimensionMismatch(msg)
     h = parity_check_from_generator(linear)
     s = syndrome(h, bits, 2)
-    vector = np.empty(2 * r, dtype=np.float64)
-    vector[0::2] = 1.0 - s
-    vector[1::2] = s
-    if syndrome_matrix.factorization is not None:
-        distances = vec_times_matrix(vector, syndrome_matrix.factorization, ops=ops)
-    else:
-        distances = vec_times_matrix_naive(vector, syndrome_matrix.matrix, ops=ops)
-    leader_index = int(np.argmin(distances))
-    if distances[leader_index] != 0.0:
+    vector = np.empty(s.shape[:-1] + (2 * r,), dtype=np.float64)
+    vector[..., 0::2] = 1.0 - s
+    vector[..., 1::2] = s
+    distances = _score_product(vector, syndrome_matrix, ops)
+    leader_index = np.argmin(distances, axis=-1)
+    if (np.take_along_axis(distances, leader_index[..., None], axis=-1) != 0.0).any():
         msg = "no coset syndrome matched the received syndrome exactly"
         raise NoZeroDistanceCoset(msg)
     corrected = (bits + leaders[leader_index]) % 2
+    if bits.ndim == 1:
+        leader_index = int(leader_index)
     return SyndromeResult(
         codeword=corrected, leader_index=leader_index, distances=distances
     )
@@ -324,7 +354,7 @@ def isi_ml_decode(
     tie_tolerance: float = 0.0,
     ops: OpCount | None = None,
 ) -> DecodeResult:
-    """Maximum-likelihood decode over a channel with memory.
+    """Maximum-likelihood decode over a channel with memory, of ``(n,)`` or ``(B, n)`` outputs.
 
     Same product as ``ml_decode`` but the codebook one-hot encodes each
     position's (symbol, predecessors) tuple, so the channel's dependence on
@@ -351,8 +381,8 @@ def isi_ml_decode(
         )
         raise DimensionMismatch(msg)
     vector = conditional_probability_vector_isi(channel, received)
-    if vector.shape[0] != codebook.rows:
-        msg = f"observation of length {len(np.atleast_1d(received))} does not match n={code.n}"
+    if vector.shape[-1] != codebook.rows:
+        msg = f"observation of length {np.shape(received)[-1]} does not match n={code.n}"
         raise DimensionMismatch(msg)
     scores = _score_product(vector, codebook, ops)
     return _finish(code, scores, tie_tolerance)

@@ -11,10 +11,17 @@ column -- no multiplications at all.  Summed over ``ceil(m/h)`` blocks the
 additions stay below ``4*m*S/log2(S) + 2*S + m``, against ``m*S``
 multiply-adds for the dense product.
 
-Inputs may contain ``-inf`` (log of a zero probability).  Blocks whose
-vector segment is not entirely finite are scored by a masked fallback that
-only ever adds selected entries, so a zero-weight position never touches a
-``-inf``.
+Inputs may contain ``-inf`` (log of a zero probability).  The doubling
+recursion and the column gather only ever add, and no input holds ``+inf``,
+so ``-inf`` passes through exactly and no ``NaN`` can arise; a pattern that
+leaves a ``-inf`` position unselected never touches it.
+
+The products also take a batch: B vectors at once, stored as a ``(B, m)``
+array.  Each block then tabulates all B segments against every pattern in
+one ``(2^h, B)`` table (patterns along the first axis, so a column's gather
+copies B contiguous values) -- the Four Russians idea applied to many
+vectors.  Every vector goes through the same additions in the same order as
+it would alone, so batched results equal the per-vector ones bit for bit.
 """
 
 from __future__ import annotations
@@ -180,24 +187,38 @@ def factorize(matrix: BinaryMatrix) -> MailmanFactorization:
 
 
 def vec_times_universal(weights: np.ndarray) -> np.ndarray:
-    """Row vector times the universal matrix of height ``len(weights)``.
+    """Row vector(s) times the universal matrix of height ``h``.
 
-    Column j of the universal matrix is the binary expansion of j with the
-    most-significant bit in the first row, so output[j] is the sum of the
-    weights at j's set bits.  Built by doubling: 2^h - 1 additions total.
+    ``weights`` is one vector ``(h,)`` or B vectors stored column-wise,
+    ``(h, B)``; the result is ``(2^h,)`` or ``(2^h, B)``.  Column j of the
+    universal matrix is the binary expansion of j with the most-significant
+    bit in the first row, so output[j] is the sum of the weights at j's set
+    bits.  Built by doubling in place: 2^h - 1 additions per vector.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 1:
-        msg = "weights must be a 1-d vector"
+    if weights.ndim not in (1, 2):
+        msg = "weights must be an (h,) vector or an (h, B) batch"
         raise InvalidParams(msg)
     h = weights.shape[0]
     if not 1 <= h <= MAX_BLOCK_HEIGHT:
         msg = f"universal height {h} outside [1, {MAX_BLOCK_HEIGHT}]"
         raise HeightOutOfRange(msg)
-    out = np.zeros(1, dtype=np.float64)
+    out = np.empty((1 << h,) + weights.shape[1:], dtype=np.float64)
+    out[0] = 0.0
+    size = 1
     for w in weights[::-1]:
-        out = np.concatenate([out, out + w])
+        np.add(out[:size], w, out=out[size : 2 * size])
+        size *= 2
     return out
+
+
+def _check_vectors(vector: np.ndarray, rows: int) -> tuple[np.ndarray, int]:
+    """The ``(m,)`` vector or ``(B, m)`` batch as float64, and its vector count."""
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.ndim not in (1, 2) or vector.shape[-1] != rows:
+        msg = f"vector(s) of shape {vector.shape} do not match {rows} matrix rows"
+        raise DimensionMismatch(msg)
+    return vector, 1 if vector.ndim == 1 else vector.shape[0]
 
 
 def vec_times_matrix(
@@ -207,32 +228,21 @@ def vec_times_matrix(
 ) -> np.ndarray:
     """Compute ``vector @ M`` from the factorization of M, without multiplying.
 
-    Per block: tabulate the vector segment against every pattern
-    (2^h - 1 additions), then add each column's tabulated entry into the
-    output (cols additions).  A block whose segment contains non-finite
-    entries is instead scored by a masked sum over its set bits only.
+    ``vector`` is one row ``(m,)`` or a batch ``(B, m)``; the result is
+    ``(S,)`` or ``(B, S)``.  Per block and vector: tabulate the segment
+    against every pattern (2^h - 1 additions), then add each column's
+    tabulated entry into the output (S additions).
     """
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.ndim != 1 or vector.shape[0] != factorization.rows:
-        msg = (
-            f"vector of length {vector.shape[0] if vector.ndim == 1 else vector.shape}"
-            f" does not match {factorization.rows} matrix rows"
-        )
-        raise DimensionMismatch(msg)
-    out = np.zeros(factorization.cols, dtype=np.float64)
+    vector, count = _check_vectors(vector, factorization.rows)
+    # One column per vector, so tables and sums keep patterns on axis 0.
+    columns = vector.T
+    out = np.zeros((factorization.cols,) + columns.shape[1:], dtype=np.float64)
     for block in factorization.blocks:
-        segment = vector[block.row_offset : block.row_offset + block.height]
-        if np.isfinite(segment).all():
-            table = vec_times_universal(segment)
-            out += table[block.correspondence]
-            if ops is not None:
-                ops.additions += (1 << block.height) - 1 + factorization.cols
-        else:
-            bits = _pattern_bits(block.correspondence, block.height)
-            out += np.where(bits.astype(bool), segment[:, None], 0.0).sum(axis=0)
-            if ops is not None:
-                ops.additions += int(bits.sum()) + factorization.cols
-    return out
+        table = vec_times_universal(columns[block.row_offset : block.row_offset + block.height])
+        out += table[block.correspondence]
+        if ops is not None:
+            ops.additions += count * ((1 << block.height) - 1 + factorization.cols)
+    return out.T
 
 
 def vec_times_matrix_naive(
@@ -242,27 +252,22 @@ def vec_times_matrix_naive(
 ) -> np.ndarray:
     """Reference product: per column, sum the vector entries at set bits.
 
+    Takes one vector ``(m,)`` or a batch ``(B, m)`` like ``vec_times_matrix``.
     Zero-weight positions are skipped outright, so ``-inf`` entries there
-    are never touched.  Tallies one addition per set bit.
+    are never touched.  Tallies one addition per set bit and vector.
     """
-    vector = np.asarray(vector, dtype=np.float64)
-    if vector.ndim != 1 or vector.shape[0] != matrix.rows:
-        msg = (
-            f"vector of length {vector.shape[0] if vector.ndim == 1 else vector.shape}"
-            f" does not match {matrix.rows} matrix rows"
-        )
-        raise DimensionMismatch(msg)
+    vector, count = _check_vectors(vector, matrix.rows)
+    out = np.zeros(vector.shape[:-1] + (matrix.cols,), dtype=np.float64)
     if matrix.rows == 0:
-        return np.zeros(matrix.cols, dtype=np.float64)
-    out = np.empty(matrix.cols, dtype=np.float64)
-    chunk = max(1, _DENSE_CHUNK_CELLS // max(1, matrix.rows))
+        return out
+    chunk = max(1, _DENSE_CHUNK_CELLS // (matrix.rows * max(1, count)))
     for start in range(0, matrix.cols, chunk):
         stop = min(start + chunk, matrix.cols)
         dense = np.unpackbits(matrix.bits[:, start:stop], axis=0, count=matrix.rows)
         mask = dense.astype(bool)
-        out[start:stop] = np.where(mask, vector[:, None], 0.0).sum(axis=0)
+        out[..., start:stop] = np.where(mask, vector[..., :, None], 0.0).sum(axis=-2)
         if ops is not None:
-            ops.additions += int(dense.sum())
+            ops.additions += count * int(dense.sum())
     return out
 
 
@@ -272,12 +277,13 @@ def vec_times_bipolar_matrix(
     factorization: MailmanFactorization | None = None,
     ops: OpCount | None = None,
 ) -> np.ndarray:
-    """Row vector times the +/-1 matrix ``2*B - J`` given its 0/1 bits ``B``.
+    """Row vector(s) times the +/-1 matrix ``2*B - J`` given its 0/1 bits ``B``.
 
     Uses ``v @ (2B - J) = 2*(v @ B) - sum(v)`` so the signed product still
-    runs through the binary kernel.  The vector must be finite.
+    runs through the binary kernel.  The vector must be finite; a ``(B, m)``
+    batch gives ``(B, S)`` scores.
     """
-    vector = np.asarray(vector, dtype=np.float64)
+    vector, count = _check_vectors(vector, matrix.rows)
     if not np.isfinite(vector).all():
         msg = "bipolar products require a finite vector"
         raise InvalidParams(msg)
@@ -286,13 +292,13 @@ def vec_times_bipolar_matrix(
     else:
         product = vec_times_matrix(vector, factorization, ops=ops)
     if ops is not None:
-        ops.multiplications += matrix.cols
-        ops.additions += matrix.cols + max(0, vector.shape[0] - 1)
-    return 2.0 * product - vector.sum()
+        ops.multiplications += count * matrix.cols
+        ops.additions += count * (matrix.cols + max(0, vector.shape[-1] - 1))
+    return 2.0 * product - vector.sum(axis=-1)[..., None]
 
 
 def op_count(factorization: MailmanFactorization) -> OpCount:
-    """Exact operation count of ``vec_times_matrix`` on all-finite input."""
+    """Exact operation count of ``vec_times_matrix`` for one vector."""
     additions = 0
     for block in factorization.blocks:
         additions += (1 << block.height) - 1 + factorization.cols

@@ -7,6 +7,12 @@ word differs).  Trials partition across logical workers, each with a seed
 derived from the master seed, and tallies merge by plain addition, so a
 config reproduces its report byte for byte; wall-clock timing is reported
 separately and excluded from that contract.
+
+Each worker runs its trials in chunks: it draws a chunk's codewords and
+channel outputs in one call each, decodes the whole chunk through one
+batched product, and tallies with array operations.  Codewords and noise
+come from two streams drawn in trial order, so the report does not depend
+on the chunk size.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ import numpy as np
 from .channels import (
     DiscreteChannel,
     ErasureChannel,
+    ErasureObservation,
     IsiChannel,
     sample_channel,
 )
@@ -54,6 +61,11 @@ from .mailman import (
 from .oracle import esd_decode, esd_decode_isi, min_distance_decode, ranking_equivalent
 
 VARIANTS = ("ml", "list", "erasure", "syndrome", "isi")
+
+#: Byte budget for one chunk's score array (8 bytes per codeword and trial):
+#: a chunk holds ``_CHUNK_BYTES // (8 * S)`` trials, and one trial at
+#: S = 2^24.  The product's tables and gathers are no larger than the scores.
+_CHUNK_BYTES = 1 << 21
 
 _ERROR_RULES = {
     "ml": "transmitted_not_in_ties",
@@ -264,8 +276,8 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
         share = base + (1 if worker < extra else 0)
         if share == 0:
             continue
-        rng = np.random.default_rng(child)
-        total.merge(_run_trials(config, code, linear, structure, share, rng))
+        picks, noise = (np.random.default_rng(seed) for seed in child.spawn(2))
+        total.merge(_run_trials(config, code, linear, structure, share, picks, noise))
 
     return SimReport(
         variant=variant,
@@ -285,79 +297,90 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
     )
 
 
-def _run_trials(config: SimConfig, code, linear, structure, trials: int, rng) -> _Tally:
-    """One worker's share of the trial loop."""
+def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, noise) -> _Tally:
+    """One worker's share of the trials, a chunk at a time.
+
+    ``picks`` draws the transmitted codewords and ``noise`` the channel
+    outputs.  Each is drawn in trial order, a chunk taking the next values
+    of both, so any chunk size gives the same trials.
+    """
     variant = config.variant
     channel = config.channel
+    width = structure[0].cols if variant == "syndrome" else structure.cols
+    chunk = max(1, _CHUNK_BYTES // (8 * width))
     tally = _Tally()
-    if variant == "syndrome":
-        syndrome_matrix, leaders = structure
-    for _ in range(trials):
-        tx = int(rng.integers(code.size))
-        word = code.codewords[tx]
-        observation = sample_channel(channel, word, rng)
-        listed_indices: tuple[int, ...] | None = None
-        start = time.perf_counter()
-        if variant == "ml":
-            result = ml_decode(structure, code, channel, observation, config.tie_tolerance, tally.ops)
-            ties = result.ties
-            hit = (tx + 1) in ties
-            decoded = result.best_codeword
-            tally.tie_events += len(ties) > 1
+    for start in range(0, trials, chunk):
+        count = min(chunk, trials - start)
+        # For S <= 2^32 each index takes one 32-bit draw, and the generator
+        # keeps the spare half of a 64-bit word in its state, so split calls
+        # continue one call's stream.
+        tx = picks.integers(code.size, size=count)
+        words = code.codewords[tx]
+        observation = sample_channel(channel, words, noise)
+        start_time = time.perf_counter()
+        result = _decode_chunk(config, code, linear, structure, observation, tally.ops)
+        tally.decode_seconds += time.perf_counter() - start_time
+        if variant == "syndrome":
+            decoded = result.codeword + 1
+            hit = (decoded == words).all(axis=1)
         elif variant == "list":
-            listed = list_decode(structure, code, channel, observation, config.list_size, tally.ops)
-            listed_indices = listed.indices
-            ties = listed_indices
-            hit = (tx + 1) in listed_indices
-            decoded = code.codewords[listed_indices[0] - 1]
-        elif variant == "erasure":
-            result = erasure_decode(structure, code, observation, config.tie_tolerance, tally.ops)
-            ties = result.ties
-            hit = (tx + 1) in ties
-            decoded = result.best_codeword
-            tally.tie_events += len(ties) > 1
-        elif variant == "syndrome":
-            outcome = syndrome_decode(linear, leaders, syndrome_matrix, observation - 1, tally.ops)
-            decoded = outcome.codeword + 1
-            ties = ()
-            hit = bool((decoded == word).all())
+            decoded = code.codewords[result.indices[:, 0] - 1]
+            hit = (result.indices == tx[:, None] + 1).any(axis=1)
         else:
-            result = isi_ml_decode(structure, code, channel, observation, config.tie_tolerance, tally.ops)
-            ties = result.ties
-            hit = (tx + 1) in ties
             decoded = result.best_codeword
-            tally.tie_events += len(ties) > 1
-        tally.decode_seconds += time.perf_counter() - start
-        if not hit:
-            tally.word_errors += 1
-        tally.symbol_errors += int((decoded != word).sum())
+            hit = result.ties[np.arange(count), tx]
+            tally.tie_events += int((result.ties.sum(axis=1) > 1).sum())
+        tally.word_errors += count - int(hit.sum())
+        tally.symbol_errors += int((decoded != words).sum())
         if config.oracle_check:
-            tally.disagreements += _oracle_disagrees(
-                variant, code, channel, observation, config, ties, listed_indices, decoded
+            tally.disagreements += sum(
+                _oracle_disagrees(config, code, observation, result, row) for row in range(count)
             )
     return tally
 
 
-def _oracle_disagrees(
-    variant, code, channel, observation, config, ties, listed_indices, decoded
-) -> int:
-    """Return 1 when the brute-force reference disagrees with the fast path."""
+def _decode_chunk(config: SimConfig, code, linear, structure, observation, ops):
+    """Decode a chunk of observations with the configured variant."""
+    variant = config.variant
+    channel = config.channel
+    if variant == "ml":
+        return ml_decode(structure, code, channel, observation, config.tie_tolerance, ops)
+    if variant == "list":
+        return list_decode(structure, code, channel, observation, config.list_size, ops)
+    if variant == "erasure":
+        return erasure_decode(structure, code, observation, config.tie_tolerance, ops)
+    if variant == "syndrome":
+        syndrome_matrix, leaders = structure
+        return syndrome_decode(linear, leaders, syndrome_matrix, observation - 1, ops)
+    return isi_ml_decode(structure, code, channel, observation, config.tie_tolerance, ops)
+
+
+def _oracle_disagrees(config: SimConfig, code, observation, result, row: int) -> int:
+    """Return 1 when the brute-force reference disagrees with trial ``row`` of a chunk."""
+    variant = config.variant
+    channel = config.channel
+    if variant == "erasure":
+        _, reference_ties, _ = min_distance_decode(code, ErasureObservation(values=observation.values[row]))
+        return int(reference_ties != _tie_set(result.ties[row]))
+    received = observation[row]
     if variant in ("ml", "isi"):
         decode = esd_decode_isi if variant == "isi" else esd_decode
-        reference = decode(code, channel, observation, config.tie_tolerance)
-        return int(reference.ties != ties)
+        reference = decode(code, channel, received, config.tie_tolerance)
+        return int(reference.ties != _tie_set(result.ties[row]))
     if variant == "list":
-        reference = esd_decode(code, channel, observation, config.tie_tolerance)
+        reference = esd_decode(code, channel, received, config.tie_tolerance)
         order = np.lexsort((np.arange(code.size), -reference.scores))
         expected = tuple(int(j) + 1 for j in order[: config.list_size])
-        return int(not ranking_equivalent(reference.scores, listed_indices, expected))
-    if variant == "erasure":
-        _, reference_ties, _ = min_distance_decode(code, observation)
-        return int(reference_ties != ties)
-    _, reference_ties, _ = min_distance_decode(code, np.asarray(observation, dtype=np.int64))
-    match = (code.codewords == np.asarray(decoded)[None, :]).all(axis=1)
+        return int(not ranking_equivalent(reference.scores, result.indices[row], expected))
+    _, reference_ties, _ = min_distance_decode(code, received)
+    match = (code.codewords == result.codeword[row] + 1).all(axis=1)
     decoded_index = int(np.flatnonzero(match)[0]) + 1
     return int(decoded_index not in reference_ties)
+
+
+def _tie_set(mask: np.ndarray) -> tuple[int, ...]:
+    """Ascending 1-based tie tuple from one row of a batched tie mask."""
+    return tuple(int(j) + 1 for j in np.flatnonzero(mask))
 
 
 def bench_multiply(

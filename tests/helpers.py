@@ -42,3 +42,10 @@ def all_words(q: int, n: int) -> np.ndarray:
     """Every length-n word over symbols 1..q, one per row, ascending."""
     grids = np.meshgrid(*[np.arange(1, q + 1)] * n, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def random_code(rng, q: int, n: int, size: int) -> Code:
+    """``size`` distinct random words of length n over symbols 1..q."""
+    picks = rng.choice(q**n, size=size, replace=False)
+    digits = picks[:, None] // q ** np.arange(n - 1, -1, -1) % q
+    return Code(q=q, n=n, codewords=digits + 1)

@@ -19,7 +19,7 @@ from fastmld import (
     sample_channel,
 )
 
-from helpers import toy_code
+from helpers import random_code, toy_code
 
 
 def test_bsc_table():
@@ -197,3 +197,47 @@ def test_sample_isi_channel_depends_on_history():
     word = np.ones(5000, dtype=np.int64)  # all-zero bits: tuples stay (0,0)
     out = sample_channel(chan, word, rng)
     assert abs((out == 1).mean() - 0.9) < 0.02
+
+
+def test_batched_sampling_draws_what_single_calls_draw():
+    rng = np.random.default_rng(60)
+    code = random_code(rng, 2, 7, 30)
+    channels = [
+        DiscreteChannel.bsc(0.2),
+        ContinuousChannel.awgn(0.7),
+        ErasureChannel(erasure_probability=0.4),
+        IsiChannel.from_probabilities(2, 2, rng.dirichlet(np.ones(3), size=8), initial_symbol=2),
+    ]
+    for chan in channels:
+        batched = sample_channel(chan, code.codewords, np.random.default_rng(61))
+        stream = np.random.default_rng(61)
+        # Two calls split at an odd row still continue one stream.
+        split = [sample_channel(chan, code.codewords[:13], stream),
+                 sample_channel(chan, code.codewords[13:], stream)]
+        stream = np.random.default_rng(61)
+        singles = [sample_channel(chan, word, stream) for word in code.codewords]
+        if isinstance(chan, ErasureChannel):
+            batched, singles = batched.values, [s.values for s in singles]
+            split = [s.values for s in split]
+        np.testing.assert_array_equal(batched, np.stack(singles))
+        np.testing.assert_array_equal(batched, np.concatenate(split))
+
+
+def test_batched_likelihood_rows_equal_single_vectors():
+    rng = np.random.default_rng(62)
+    discrete = DiscreteChannel.symmetric(3, 0.2)
+    received = rng.integers(1, 4, size=(9, 5))
+    rows = conditional_probability_vector(discrete, received)
+    assert rows.shape == (9, 15)
+    for y, row in zip(received, rows):
+        np.testing.assert_array_equal(row, conditional_probability_vector(discrete, y))
+    gaussian = ContinuousChannel.awgn(0.5, constellation=(1.0, -1.0, 3.0))
+    soft = rng.standard_normal((9, 5))
+    rows = conditional_probability_vector(gaussian, soft)
+    for y, row in zip(soft, rows):
+        np.testing.assert_array_equal(row, conditional_probability_vector(gaussian, y))
+    isi = IsiChannel.from_probabilities(3, 1, rng.dirichlet(np.ones(4), size=9))
+    outputs = rng.integers(1, 5, size=(9, 5))
+    rows = conditional_probability_vector_isi(isi, outputs)
+    for y, row in zip(outputs, rows):
+        np.testing.assert_array_equal(row, conditional_probability_vector_isi(isi, y))

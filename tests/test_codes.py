@@ -22,7 +22,7 @@ from fastmld import (
     tuple_indices,
 )
 
-from helpers import HAMMING_G, hamming_code, rep3_code, toy_code
+from helpers import HAMMING_G, hamming_code, random_code, rep3_code, toy_code
 
 
 def test_code_validation():
@@ -148,6 +148,25 @@ def test_tuple_indices_two_taps():
 def test_tuple_indices_initial_symbol():
     idx = tuple_indices(2, 1, np.array([1, 2]), initial_symbol=2)
     np.testing.assert_array_equal(idx, [1, 2])
+
+
+def test_tuple_indices_of_stacked_words_match_per_word_stack():
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        q = int(rng.integers(2, 4))
+        n = int(rng.integers(1, 7))
+        code = random_code(rng, q, n, min(12, q**n))
+        for memory in (0, 1, 2):
+            initial = int(rng.integers(1, q + 1))
+            per_word = np.stack([tuple_indices(q, memory, w, initial) for w in code.codewords])
+            np.testing.assert_array_equal(tuple_indices(q, memory, code.codewords, initial), per_word)
+            stacked = code.codewords.reshape(2, -1, n) if code.size % 2 == 0 else code.codewords[None]
+            np.testing.assert_array_equal(
+                tuple_indices(q, memory, stacked, initial), per_word.reshape(stacked.shape)
+            )
+            dense = build_codebook_matrix_isi(code, memory, initial).matrix.to_dense()
+            columns = [codes_mod.incidence_vector_isi(q, memory, w, initial) for w in code.codewords]
+            np.testing.assert_array_equal(dense, np.stack(columns, axis=1))
 
 
 def test_isi_codebook_columns():

@@ -31,7 +31,7 @@ from fastmld import (
     syndrome_decode,
 )
 
-from helpers import hamming_code, rep3_code, toy_code, toy_channel
+from helpers import all_words, hamming_code, random_code, rep3_code, toy_code, toy_channel
 
 
 def test_argmax_scan_basics():
@@ -335,3 +335,117 @@ def test_scale_invariance_of_argmax():
         base = argmax_scan(vec_times_matrix(vec, codebook.factorization))
         scaled = argmax_scan(vec_times_matrix(7.5 * vec, codebook.factorization))
         assert base == scaled
+
+
+def _assert_rows_match(batched, singles):
+    """Row b of a batched DecodeResult equals the single-word result b."""
+    assert len(singles) == batched.scores.shape[0]
+    for row, single in enumerate(singles):
+        assert batched.best_index[row] == single.best_index
+        assert tuple(int(j) + 1 for j in np.flatnonzero(batched.ties[row])) == single.ties
+        assert np.array_equal(batched.scores[row], single.scores)
+        assert batched.best_score[row] == single.best_score
+        assert batched.implausible[row] == single.implausible
+        np.testing.assert_array_equal(batched.best_codeword[row], single.best_codeword)
+
+
+def test_batched_ml_decode_matches_single_words():
+    rng = np.random.default_rng(30)
+    cases = [
+        (enumerate_codewords(hamming_code()), DiscreteChannel.bsc(0.2), 0.0),
+        # Zero probabilities: -inf scores, and implausible rows among the words.
+        (random_code(rng, 3, 5, 6), DiscreteChannel.from_probabilities(
+            [[0.7, 0.3, 0.0], [0.0, 0.6, 0.4], [0.5, 0.0, 0.5]]), 0.0),
+        (random_code(rng, 2, 9, 300), ContinuousChannel.awgn(0.9), 1e-9),
+    ]
+    implausible = 0
+    for code, chan, tolerance in cases:
+        codebook = build_codebook_matrix(code)
+        if isinstance(chan, ContinuousChannel):
+            received = rng.standard_normal((25, code.n))
+        else:
+            received = rng.integers(1, chan.output_alphabet_size + 1, size=(25, code.n))
+        batch_ops, word_ops = OpCount(), OpCount()
+        batched = ml_decode(codebook, code, chan, received, tolerance, batch_ops)
+        singles = [ml_decode(codebook, code, chan, y, tolerance, word_ops) for y in received]
+        _assert_rows_match(batched, singles)
+        assert batch_ops == word_ops
+        implausible += int(batched.implausible.sum())
+    assert implausible > 0
+
+
+def test_batched_erasure_decode_matches_single_words():
+    code = enumerate_codewords(hamming_code())
+    bipolar = build_bipolar_codebook(code)
+    rng = np.random.default_rng(31)
+    values = np.where(rng.random((40, 7)) < 0.3, -1, rng.integers(0, 2, size=(40, 7)))
+    batched = erasure_decode(bipolar, code, ErasureObservation(values=values))
+    singles = [erasure_decode(bipolar, code, ErasureObservation(values=v)) for v in values]
+    _assert_rows_match(batched, singles)
+
+
+def test_batched_isi_decode_matches_single_words():
+    rng = np.random.default_rng(32)
+    for memory in (0, 1, 2):
+        code = random_code(rng, 2, 6, 20)
+        table = rng.dirichlet(np.ones(3), size=2 ** (memory + 1))
+        chan = IsiChannel.from_probabilities(2, memory, table)
+        codebook = build_codebook_matrix_isi(code, memory)
+        received = rng.integers(1, 4, size=(30, 6))
+        batched = isi_ml_decode(codebook, code, chan, received)
+        _assert_rows_match(batched, [isi_ml_decode(codebook, code, chan, y) for y in received])
+
+
+def test_batched_syndrome_decode_matches_single_words():
+    linear = hamming_code()
+    syndrome_matrix, leaders = build_syndrome_matrix(linear)
+    words = all_words(2, 7) - 1
+    batch_ops, word_ops = OpCount(), OpCount()
+    batched = syndrome_decode(linear, leaders, syndrome_matrix, words, batch_ops)
+    for row, bits in enumerate(words):
+        single = syndrome_decode(linear, leaders, syndrome_matrix, bits, word_ops)
+        np.testing.assert_array_equal(batched.codeword[row], single.codeword)
+        assert batched.leader_index[row] == single.leader_index
+        assert np.array_equal(batched.distances[row], single.distances)
+    assert batch_ops == word_ops
+
+
+def test_batched_list_decode_matches_single_words():
+    rng = np.random.default_rng(33)
+    code = random_code(rng, 2, 8, 64)
+    codebook = build_codebook_matrix(code)
+    chan = ContinuousChannel.awgn(1.0)
+    received = rng.standard_normal((20, 8))
+    for size in (1, 5, 64):
+        batched = list_decode(codebook, code, chan, received, size)
+        assert batched.indices.shape == batched.scores.shape == (20, size)
+        for row, y in enumerate(received):
+            single = list_decode(codebook, code, chan, y, size)
+            assert tuple(batched.indices[row]) == single.indices
+            assert tuple(batched.scores[row]) == single.scores
+
+
+def test_list_ranking_matches_lexsort_with_exact_ties_and_minus_infinity():
+    # Every output is either a clean bit or an erasure-like symbol 3, each
+    # with probability 1/2: consistent words tie exactly (equal summands in
+    # equal block order, as every block holds whole positions) and the rest
+    # score -inf.
+    chan = DiscreteChannel.from_probabilities([[0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
+    rng = np.random.default_rng(34)
+    ties_seen = minus_inf_seen = 0
+    for n in (4, 6, 8):
+        code = Code(q=2, n=n, codewords=all_words(2, n))
+        codebook = build_codebook_matrix(code)
+        received = np.where(rng.random((12, n)) < 0.4, 3, rng.integers(1, 3, size=(12, n)))
+        scores = ml_decode(codebook, code, chan, received).scores
+        for size in (1, 5, code.size // 2, code.size):
+            batched = list_decode(codebook, code, chan, received, size)
+            for row, y in enumerate(received):
+                expected = np.lexsort((np.arange(code.size), -scores[row]))[:size] + 1
+                np.testing.assert_array_equal(batched.indices[row], expected)
+                assert list_decode(codebook, code, chan, y, size).indices == tuple(expected)
+        for row in range(len(received)):
+            finite = scores[row][np.isfinite(scores[row])]
+            ties_seen += finite.size - np.unique(finite).size
+            minus_inf_seen += int(np.isneginf(scores[row]).sum())
+    assert ties_seen > 0 and minus_inf_seen > 0

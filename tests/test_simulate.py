@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import fastmld.simulate as simulate
 from fastmld import (
+    ContinuousChannel,
     DiscreteChannel,
     ErasureChannel,
     InvalidParams,
@@ -224,3 +226,34 @@ def test_bench_ratio_grows_with_columns():
 def test_bench_rejects_zero_repetitions():
     with pytest.raises(InvalidParams):
         bench_multiply([8], [16], repetitions=0)
+
+
+@pytest.mark.parametrize(
+    "variant, channel",
+    [
+        ("ml", DiscreteChannel.bsc(0.1)),
+        ("ml", ContinuousChannel.awgn(0.8)),
+        ("list", ContinuousChannel.awgn(0.8)),
+        ("erasure", ErasureChannel(erasure_probability=0.3)),
+        ("syndrome", DiscreteChannel.bsc(0.1)),
+        ("isi", IsiChannel.from_probabilities(2, 1, [[0.9, 0.1], [0.7, 0.3], [0.3, 0.7], [0.1, 0.9]])),
+    ],
+)
+def test_report_independent_of_chunk_size(monkeypatch, variant, channel):
+    config = SimConfig(
+        code_source=hamming_code(),
+        channel=channel,
+        trials=101,
+        seed=44,
+        variant=variant,
+        list_size=3,
+        oracle_check=True,
+        workers=2,
+    )
+    report = run_monte_carlo(config).canonical_text()
+    assert run_monte_carlo(config).canonical_text() == report
+    # Hamming scores hold 16 codewords (8 cosets for syndrome decoding).
+    for trials_per_chunk in (1, 7):
+        monkeypatch.setattr(simulate, "_CHUNK_BYTES", 8 * 16 * trials_per_chunk)
+        assert run_monte_carlo(config).canonical_text() == report
+    assert "oracle_disagreements 0\n" in report
