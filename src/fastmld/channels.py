@@ -206,10 +206,8 @@ class ErasureObservation:
         return int(self.values.shape[-1])
 
     @property
-    def erasure_count(self) -> int | np.ndarray:
-        """Erased positions: an int for one word, a ``(B,)`` array for a batch."""
-        counts = (self.values == ERASED).sum(axis=-1)
-        return int(counts) if self.values.ndim == 1 else counts
+    def erasure_count(self) -> int:
+        return int((self.values == ERASED).sum())
 
     @classmethod
     def from_string(cls, text: str) -> "ErasureObservation":

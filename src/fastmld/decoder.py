@@ -118,8 +118,13 @@ def argmax_scan(scores: np.ndarray, tie_tolerance: float = 0.0) -> tuple[int, tu
     if scores.ndim != 1 or scores.shape[0] < 1:
         msg = "scores must be a non-empty 1-d vector"
         raise InvalidParams(msg)
-    ties = tuple(int(j) + 1 for j in np.flatnonzero(_tie_mask(scores, tie_tolerance)))
+    ties = tie_set(_tie_mask(scores, tie_tolerance))
     return ties[0], ties
+
+
+def tie_set(mask: np.ndarray) -> tuple[int, ...]:
+    """Ascending 1-based indices of the marked entries of a 1-d tie mask."""
+    return tuple(int(j) + 1 for j in np.flatnonzero(mask))
 
 
 def _tie_mask(scores: np.ndarray, tie_tolerance: float) -> np.ndarray:

@@ -239,10 +239,14 @@ def vec_times_matrix(
     out = np.zeros((factorization.cols,) + columns.shape[1:], dtype=np.float64)
     for block in factorization.blocks:
         table = vec_times_universal(columns[block.row_offset : block.row_offset + block.height])
-        out += table[block.correspondence]
+        # np.take copies whole rows; fancy indexing of a narrow 2-d table
+        # runs element by element and is several times slower.
+        out += np.take(table, block.correspondence, axis=0)
         if ops is not None:
             ops.additions += count * ((1 << block.height) - 1 + factorization.cols)
-    return out.T
+    # Row-major (B, S), so per-row scans of the scores run over contiguous
+    # memory; a strided view made the argmax and ranking several times slower.
+    return np.ascontiguousarray(out.T)
 
 
 def vec_times_matrix_naive(

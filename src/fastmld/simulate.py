@@ -47,6 +47,7 @@ from .decoder import (
     list_decode,
     ml_decode,
     syndrome_decode,
+    tie_set,
 )
 from .errors import InvalidParams
 from .mailman import (
@@ -62,10 +63,14 @@ from .oracle import esd_decode, esd_decode_isi, min_distance_decode, ranking_equ
 
 VARIANTS = ("ml", "list", "erasure", "syndrome", "isi")
 
-#: Byte budget for one chunk's score array (8 bytes per codeword and trial):
-#: a chunk holds ``_CHUNK_BYTES // (8 * S)`` trials, and one trial at
-#: S = 2^24.  The product's tables and gathers are no larger than the scores.
-_CHUNK_BYTES = 1 << 21
+#: Byte budget for a chunk's largest per-trial array (see ``_chunk_trials``):
+#: 32 trials at S = 4096 and 8 at S = 2^14.
+_CHUNK_BYTES = 1 << 20
+
+#: Fewest trials worth batching.  A product table only a few vectors wide
+#: runs numpy's doubling in inner loops of that width; at S = 2^16, chunks
+#: of 2 and 4 trials were slower per trial than single trials.
+_MIN_BATCH = 8
 
 _ERROR_RULES = {
     "ml": "transmitted_not_in_ties",
@@ -306,8 +311,8 @@ def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, 
     """
     variant = config.variant
     channel = config.channel
-    width = structure[0].cols if variant == "syndrome" else structure.cols
-    chunk = max(1, _CHUNK_BYTES // (8 * width))
+    scoring = structure[0] if variant == "syndrome" else structure
+    chunk = _chunk_trials(channel, code, scoring.matrix)
     tally = _Tally()
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
@@ -339,6 +344,22 @@ def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, 
     return tally
 
 
+def _chunk_trials(channel, code: Code, matrix: BinaryMatrix) -> int:
+    """How many trials a chunk holds within ``_CHUNK_BYTES``.
+
+    Each trial of a chunk keeps three arrays of 8-byte entries: its S
+    scores (the product's tables and gathers are no larger), its likelihood
+    row of ``matrix.rows`` entries, and, for a categorical channel, an
+    ``(n, outputs)`` table of cumulative probabilities while sampling.  The
+    largest of them sets the chunk, so a long code with few codewords gets
+    small chunks too.  Below ``_MIN_BATCH`` trials a chunk holds one.
+    """
+    outputs = getattr(channel, "output_alphabet_size", 1)
+    cells = max(matrix.cols, matrix.rows, code.n * outputs)
+    trials = _CHUNK_BYTES // (8 * cells)
+    return trials if trials >= _MIN_BATCH else 1
+
+
 def _decode_chunk(config: SimConfig, code, linear, structure, observation, ops):
     """Decode a chunk of observations with the configured variant."""
     variant = config.variant
@@ -361,12 +382,12 @@ def _oracle_disagrees(config: SimConfig, code, observation, result, row: int) ->
     channel = config.channel
     if variant == "erasure":
         _, reference_ties, _ = min_distance_decode(code, ErasureObservation(values=observation.values[row]))
-        return int(reference_ties != _tie_set(result.ties[row]))
+        return int(reference_ties != tie_set(result.ties[row]))
     received = observation[row]
     if variant in ("ml", "isi"):
         decode = esd_decode_isi if variant == "isi" else esd_decode
         reference = decode(code, channel, received, config.tie_tolerance)
-        return int(reference.ties != _tie_set(result.ties[row]))
+        return int(reference.ties != tie_set(result.ties[row]))
     if variant == "list":
         reference = esd_decode(code, channel, received, config.tie_tolerance)
         order = np.lexsort((np.arange(code.size), -reference.scores))
@@ -376,11 +397,6 @@ def _oracle_disagrees(config: SimConfig, code, observation, result, row: int) ->
     match = (code.codewords == result.codeword[row] + 1).all(axis=1)
     decoded_index = int(np.flatnonzero(match)[0]) + 1
     return int(decoded_index not in reference_ties)
-
-
-def _tie_set(mask: np.ndarray) -> tuple[int, ...]:
-    """Ascending 1-based tie tuple from one row of a batched tie mask."""
-    return tuple(int(j) + 1 for j in np.flatnonzero(mask))
 
 
 def bench_multiply(

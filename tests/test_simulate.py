@@ -5,6 +5,8 @@ import pytest
 
 import fastmld.simulate as simulate
 from fastmld import (
+    BinaryMatrix,
+    Code,
     ContinuousChannel,
     DiscreteChannel,
     ErasureChannel,
@@ -13,6 +15,7 @@ from fastmld import (
     RandomCodeSpec,
     SimConfig,
     bench_multiply,
+    build_codebook_matrix,
     run_monte_carlo,
 )
 from fastmld.simulate import _Tally
@@ -252,8 +255,23 @@ def test_report_independent_of_chunk_size(monkeypatch, variant, channel):
     )
     report = run_monte_carlo(config).canonical_text()
     assert run_monte_carlo(config).canonical_text() == report
-    # Hamming scores hold 16 codewords (8 cosets for syndrome decoding).
     for trials_per_chunk in (1, 7):
-        monkeypatch.setattr(simulate, "_CHUNK_BYTES", 8 * 16 * trials_per_chunk)
+        monkeypatch.setattr(simulate, "_chunk_trials", lambda *_: trials_per_chunk)
         assert run_monte_carlo(config).canonical_text() == report
     assert "oracle_disagreements 0\n" in report
+
+
+def test_chunk_size_follows_the_largest_per_trial_array():
+    # A [2000, 1] repetition code scores only S = 2 codewords, but each
+    # trial's likelihood row and sampling table hold 4000 entries.
+    code = Code(q=2, n=2000, codewords=np.array([[1] * 2000, [2] * 2000]))
+    channel = DiscreteChannel.bsc(0.1)
+    codebook = build_codebook_matrix(code)
+    chunk = simulate._chunk_trials(channel, code, codebook.matrix)
+    assert chunk == simulate._CHUNK_BYTES // (8 * 4000)
+    config = SimConfig(code_source=code, channel=channel, trials=300, seed=3)
+    assert run_monte_carlo(config).word_errors == 0
+    # Wide score rows: 8 trials at S = 2^14, then too few to batch.
+    for cols, expected in ((1 << 14, 8), (1 << 15, 1), (1 << 24, 1)):
+        matrix = BinaryMatrix(rows=6, cols=cols, bits=np.zeros(0, dtype=np.uint8))
+        assert simulate._chunk_trials(channel, toy_code(), matrix) == expected
