@@ -303,9 +303,11 @@ def _check_discrete_observation(out_size: int, received: np.ndarray) -> np.ndarr
 def conditional_probability_vector(channel, received: np.ndarray) -> np.ndarray:
     """Length n*q log-likelihood vector: block i holds log P(y_i | x = 1..q).
 
-    A ``(B, n)`` batch of observations gives ``(B, n*q)``, one row per word.
+    For an IsiChannel block i holds log P(y_i | every symbol tuple), so the
+    vector has length n*q^(L+1).  A ``(B, n)`` batch of observations gives
+    one such row per word.
     """
-    if isinstance(channel, DiscreteChannel):
+    if isinstance(channel, (DiscreteChannel, IsiChannel)):
         y = _check_discrete_observation(channel.output_alphabet_size, received)
         return channel.log_transition.T[y - 1].reshape(y.shape[:-1] + (-1,))
     if isinstance(channel, ContinuousChannel):
@@ -313,20 +315,6 @@ def conditional_probability_vector(channel, received: np.ndarray) -> np.ndarray:
         return density.reshape(density.shape[:-2] + (-1,))
     msg = f"no likelihood vector for channel type {type(channel).__name__}"
     raise InvalidParams(msg)
-
-
-def conditional_probability_vector_isi(
-    channel: IsiChannel, received: np.ndarray
-) -> np.ndarray:
-    """Length n*q^(L+1) vector: block i holds log P(y_i | every symbol tuple).
-
-    A ``(B, n)`` batch of observations gives one such row per word.
-    """
-    if not isinstance(channel, IsiChannel):
-        msg = f"expected an IsiChannel, got {type(channel).__name__}"
-        raise InvalidParams(msg)
-    y = _check_discrete_observation(channel.output_alphabet_size, received)
-    return channel.log_transition.T[y - 1].reshape(y.shape[:-1] + (-1,))
 
 
 def bipolar_received_vector(observation: ErasureObservation) -> np.ndarray:

@@ -20,11 +20,11 @@ from .codes import (
     build_bipolar_codebook,
     build_codebook_matrix,
     build_codebook_matrix_isi,
+    build_syndrome_matrix,
     enumerate_codewords,
     random_linear_code,
 )
 from .decoder import (
-    build_syndrome_matrix,
     erasure_decode,
     isi_ml_decode,
     list_decode,
@@ -278,7 +278,7 @@ def _cmd_gen_code(args, parser) -> int:
 def _cmd_inspect(args, parser) -> int:
     code = _resolve_code(args, parser)
     codebook = build_codebook_matrix(code)
-    blocks = 0 if codebook.factorization is None else len(codebook.factorization.blocks)
+    blocks = len(codebook.factorization.blocks)
     print(f"q={code.q} n={code.n} S={code.size}, M: {codebook.rows}x{codebook.cols}, blocks={blocks}")
     return 0
 

@@ -5,7 +5,10 @@ through its codebook matrix: column j stacks, for every position, the
 one-hot encoding of codeword j's symbol there, giving an (n*q) x S binary
 matrix with exactly one 1 per position block.  The same construction over
 symbol tuples (a sliding window of the current symbol plus L predecessors)
-extends the matrix to channels with memory.
+extends the matrix to channels with memory, and the one-hot codebook of all
+binary words of length n-k scores syndromes.  Erasure decoding uses the bit
+layout of a binary code instead: one row per position, set where the bit
+is 1.  Every codebook is a ``CodebookMatrix`` with a factorization.
 
 Symbols are 1-based at every public boundary; all internal index
 arithmetic shifts to 0-based immediately on entry.
@@ -64,7 +67,9 @@ class Code:
         if words.min() < 1 or words.max() > self.q:
             msg = f"symbols must lie in 1..{self.q}"
             raise SymbolOutOfRange(msg)
-        if np.unique(words, axis=0).shape[0] != words.shape[0]:
+        # Sorting on every column puts equal rows next to each other.
+        ordered = words[np.lexsort(words.T)]
+        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
             msg = "codewords must be distinct"
             raise InvalidParams(msg)
         words.setflags(write=False)
@@ -114,30 +119,20 @@ class LinearCode:
 class CodebookMatrix:
     """A code's binary scoring matrix plus its block factorization.
 
-    ``block_size`` is the one-hot width per position (q, or q^(L+1) when L
-    memory taps are baked in); every column carries exactly
-    ``ones_per_column`` ones, one per position block.  ``factorization`` is
-    None only for single-codeword matrices, which cannot be factorized.
+    Column j holds codeword j.  In the one-hot layout ``block_size`` is the
+    width of each position's block (q, or q^(L+1) when L memory taps are
+    baked in) and the column sets one row per block.  In the bit layout of
+    a binary code (``block_size`` 1) each position has one row, set where
+    the codeword's bit is 1.
     """
 
     rows: int
     cols: int
     matrix: BinaryMatrix
-    factorization: MailmanFactorization | None
-    ones_per_column: int
+    factorization: MailmanFactorization
     block_size: int
     memory: int = 0
     initial_symbol: int = 1
-
-
-@dataclass(frozen=True)
-class BipolarCodebook:
-    """Bit matrix of a binary code for +/-1 scoring (erasure decoding)."""
-
-    n: int
-    cols: int
-    matrix: BinaryMatrix
-    factorization: MailmanFactorization | None
 
 
 def _is_prime(q: int) -> bool:
@@ -264,11 +259,9 @@ def incidence_vector_isi(
     return out
 
 
-def _assemble_codebook(
-    code: Code, per_position: np.ndarray, block_size: int, memory: int, initial: int
-) -> CodebookMatrix:
-    """Build the bit matrix whose column j one-hot encodes codeword j."""
-    n, size = code.n, code.size
+def _one_hot(per_position: np.ndarray, block_size: int) -> np.ndarray:
+    """Dense (n*block_size) x S bits: column j sets row i*block_size + per_position[i, j]."""
+    n, size = per_position.shape
     rows = n * block_size
     if rows * size > MAX_MATRIX_BITS:
         msg = f"codebook of {rows}x{size} bits exceeds the cap of {MAX_MATRIX_BITS}"
@@ -276,14 +269,19 @@ def _assemble_codebook(
     dense = np.zeros((rows, size), dtype=np.uint8)
     row_idx = np.arange(n)[:, None] * block_size + per_position
     dense[row_idx, np.arange(size)[None, :]] = 1
+    return dense
+
+
+def _codebook(
+    dense: np.ndarray, block_size: int, memory: int = 0, initial: int = 1
+) -> CodebookMatrix:
+    """Pack ``dense`` and factorize it for the fast product."""
     matrix = BinaryMatrix.from_dense(dense)
-    fact = factorize(matrix) if size >= 2 else None
     return CodebookMatrix(
-        rows=rows,
-        cols=size,
+        rows=matrix.rows,
+        cols=matrix.cols,
         matrix=matrix,
-        factorization=fact,
-        ones_per_column=n,
+        factorization=factorize(matrix),
         block_size=block_size,
         memory=memory,
         initial_symbol=initial,
@@ -292,8 +290,7 @@ def _assemble_codebook(
 
 def build_codebook_matrix(code: Code) -> CodebookMatrix:
     """Codebook matrix for memoryless scoring: (n*q) x S, one 1 per position."""
-    per_position = code.codewords.T - 1
-    return _assemble_codebook(code, per_position, code.q, memory=0, initial=1)
+    return _codebook(_one_hot(code.codewords.T - 1, code.q), code.q)
 
 
 def build_codebook_matrix_isi(
@@ -302,18 +299,15 @@ def build_codebook_matrix_isi(
     """Codebook matrix over symbol tuples for channels with ``memory`` taps."""
     idx = tuple_indices(code.q, memory, code.codewords, initial_symbol).T
     width = code.q ** (memory + 1)
-    return _assemble_codebook(code, idx, width, memory=memory, initial=initial_symbol)
+    return _codebook(_one_hot(idx, width), width, memory, initial_symbol)
 
 
-def build_bipolar_codebook(code: Code) -> BipolarCodebook:
-    """Bit matrix (n x S) of a binary code: entry 1 where the codeword bit is 1."""
+def build_bipolar_codebook(code: Code) -> CodebookMatrix:
+    """Bit layout (n x S) of a binary code: entry 1 where the codeword bit is 1."""
     if code.q != 2:
         msg = f"bipolar codebooks are defined for binary codes, got q={code.q}"
         raise NonBinaryCode(msg)
-    dense = (code.codewords.T == 2).astype(np.uint8)
-    matrix = BinaryMatrix.from_dense(dense)
-    fact = factorize(matrix) if code.size >= 2 else None
-    return BipolarCodebook(n=code.n, cols=code.size, matrix=matrix, factorization=fact)
+    return _codebook((code.codewords.T == 2).astype(np.uint8), 1)
 
 
 def parity_check_from_generator(linear: LinearCode) -> np.ndarray:
@@ -393,3 +387,23 @@ def coset_leaders(linear: LinearCode) -> np.ndarray:
                 if found == count:
                     return leaders
     return leaders
+
+
+def build_syndrome_matrix(linear: LinearCode) -> tuple[CodebookMatrix, np.ndarray]:
+    """Syndrome codebook and coset-leader table for a binary code.
+
+    The codebook is the one-hot codebook, 2(n-k) x 2^(n-k), of all binary
+    words of length n-k, column j holding the word with base-2 index j: row
+    2i marks the words whose bit i is 0, row 2i+1 those whose bit i is 1.
+    A received syndrome s scored s_i in row 2i and 1 - s_i in row 2i+1
+    gets, from the product, its Hamming distance to every coset's syndrome.
+    Returns the codebook and the leader table aligned to the same index.
+    """
+    if linear.q != 2:
+        msg = f"syndrome decoding is defined for binary codes, got q={linear.q}"
+        raise NonBinaryCode(msg)
+    leaders = coset_leaders(linear)
+    r = linear.n - linear.k
+    shifts = np.arange(r - 1, -1, -1, dtype=np.int64)
+    bits = (np.arange(2**r, dtype=np.int64)[None, :] >> shifts[:, None]) & 1
+    return _codebook(_one_hot(bits, 2), 2), leaders

@@ -1,9 +1,13 @@
 """Decoding pipelines built on the fast vector-matrix product.
 
 Every decoder follows the same three steps: build the observation's
-log-likelihood vector, multiply it by the code's binary matrix through the
-block factorization, and scan the resulting score vector for the argmax
-(or the top of the ranking).  Codeword indices in results are 1-based and
+per-position score vector, multiply it by a ``CodebookMatrix`` in one
+``vec_times_matrix`` call on its factorization, and scan the resulting
+score vector for the argmax (or the top of the ranking).  Decoders differ
+only in the vector they build: log-likelihoods for ``ml_decode``,
+``list_decode`` and ``isi_ml_decode``, +1/-1/0 for ``erasure_decode``
+(against the bit layout, then ``2*(v @ B) - sum(v)``), and syndrome bits
+for ``syndrome_decode``.  Codeword indices in results are 1-based and
 stable: index i always refers to row i-1 of ``code.codewords``.
 
 Ties are exact by default: the tie set holds every index whose score is
@@ -29,19 +33,15 @@ from .channels import (
     IsiChannel,
     bipolar_received_vector,
     conditional_probability_vector,
-    conditional_probability_vector_isi,
 )
 from .codes import (
-    BipolarCodebook,
     Code,
     CodebookMatrix,
     LinearCode,
-    coset_leaders,
     parity_check_from_generator,
     syndrome,
 )
 from .errors import (
-    CapacityExceeded,
     DimensionMismatch,
     InvalidParams,
     ListSizeOutOfRange,
@@ -49,15 +49,9 @@ from .errors import (
     NoZeroDistanceCoset,
     ObservationOutOfAlphabet,
 )
-from .mailman import (
-    MAX_MATRIX_BITS,
-    BinaryMatrix,
-    OpCount,
-    factorize,
-    vec_times_bipolar_matrix,
-    vec_times_matrix,
-    vec_times_matrix_naive,
-)
+from .mailman import OpCount, vec_times_matrix
+
+_MEMORYLESS = (DiscreteChannel, ContinuousChannel)
 
 
 @dataclass(frozen=True)
@@ -135,14 +129,6 @@ def _tie_mask(scores: np.ndarray, tie_tolerance: float) -> np.ndarray:
     return scores >= scores.max(axis=-1, keepdims=True) - tie_tolerance
 
 
-def _score_product(
-    vector: np.ndarray, codebook: CodebookMatrix, ops: OpCount | None
-) -> np.ndarray:
-    if codebook.factorization is not None:
-        return vec_times_matrix(vector, codebook.factorization, ops=ops)
-    return vec_times_matrix_naive(vector, codebook.matrix, ops=ops)
-
-
 def _finish(code: Code, scores: np.ndarray, tie_tolerance: float) -> DecodeResult:
     if scores.ndim == 1:
         best, ties = argmax_scan(scores, tie_tolerance)
@@ -163,22 +149,43 @@ def _finish(code: Code, scores: np.ndarray, tie_tolerance: float) -> DecodeResul
     )
 
 
-def _check_memoryless(codebook: CodebookMatrix, code: Code, channel) -> None:
-    if not isinstance(channel, (DiscreteChannel, ContinuousChannel)):
-        msg = f"memoryless decoding cannot use {type(channel).__name__}"
+def _likelihoods(
+    codebook: CodebookMatrix, code: Code, channel, accepted: tuple, received, ops
+) -> np.ndarray:
+    """Every codeword's log-likelihood, in one product.
+
+    First checks ``channel`` against the ``accepted`` types, and that the
+    code, the channel and the one-hot codebook were made for each other.
+    """
+    if not isinstance(channel, accepted):
+        names = " or ".join(kind.__name__ for kind in accepted)
+        msg = f"this decoder needs a {names}, got {type(channel).__name__}"
         raise InvalidParams(msg)
     if channel.q != code.q:
         msg = f"channel input alphabet {channel.q} does not match code q={code.q}"
         raise DimensionMismatch(msg)
-    if codebook.memory != 0 or codebook.block_size != code.q:
-        msg = "codebook was built with memory; use the matching decoder"
-        raise DimensionMismatch(msg)
-    if codebook.cols != code.size or codebook.rows != code.n * code.q:
+    if isinstance(channel, IsiChannel):
+        memory, initial = channel.memory, channel.initial_symbol
+    else:  # a memoryless channel never reads an initial symbol
+        memory, initial = 0, codebook.initial_symbol
+    if (codebook.memory, codebook.initial_symbol) != (memory, initial):
         msg = (
-            f"codebook of {codebook.rows}x{codebook.cols} does not match a"
-            f" {code.size}-codeword code with n={code.n}, q={code.q}"
+            f"codebook (memory={codebook.memory}, initial={codebook.initial_symbol})"
+            f" does not match channel (memory={memory}, initial={initial})"
         )
         raise DimensionMismatch(msg)
+    width = code.q ** (memory + 1)
+    if (codebook.block_size, codebook.rows, codebook.cols) != (width, code.n * width, code.size):
+        msg = (
+            f"codebook of {codebook.rows}x{codebook.cols} does not match a"
+            f" {code.size}-codeword code with n={code.n} over {width} symbol tuples"
+        )
+        raise DimensionMismatch(msg)
+    vector = conditional_probability_vector(channel, received)
+    if vector.shape[-1] != codebook.rows:
+        msg = f"observation of length {np.shape(received)[-1]} does not match n={code.n}"
+        raise DimensionMismatch(msg)
+    return vec_times_matrix(vector, codebook.factorization, ops=ops)
 
 
 def ml_decode(
@@ -194,12 +201,7 @@ def ml_decode(
     Scores every codeword's log-likelihood in one vector-matrix product and
     returns the argmax; works for any code, discrete or Gaussian channel.
     """
-    _check_memoryless(codebook, code, channel)
-    vector = conditional_probability_vector(channel, received)
-    if vector.shape[-1] != codebook.rows:
-        msg = f"observation of length {vector.shape[-1] // code.q} does not match n={code.n}"
-        raise DimensionMismatch(msg)
-    scores = _score_product(vector, codebook, ops)
+    scores = _likelihoods(codebook, code, channel, _MEMORYLESS, received, ops)
     return _finish(code, scores, tie_tolerance)
 
 
@@ -217,15 +219,10 @@ def list_decode(
     the result is always a prefix of the full sorted ranking; a ``(B, n)``
     batch ranks each row.
     """
-    _check_memoryless(codebook, code, channel)
     if not 1 <= list_size <= code.size:
         msg = f"list size {list_size} outside 1..{code.size}"
         raise ListSizeOutOfRange(msg)
-    vector = conditional_probability_vector(channel, received)
-    if vector.shape[-1] != codebook.rows:
-        msg = f"observation of length {vector.shape[-1] // code.q} does not match n={code.n}"
-        raise DimensionMismatch(msg)
-    scores = _score_product(vector, codebook, ops)
+    scores = _likelihoods(codebook, code, channel, _MEMORYLESS, received, ops)
     # Stable sort of the negated scores: descending, lower index first on
     # ties, -inf last; negation is exact, so the ranking is too.
     order = np.argsort(-scores, axis=-1, kind="stable")[..., :list_size]
@@ -238,7 +235,7 @@ def list_decode(
 
 
 def erasure_decode(
-    bipolar: BipolarCodebook,
+    codebook: CodebookMatrix,
     code: Code,
     observation: ErasureObservation,
     tie_tolerance: float = 0.0,
@@ -246,11 +243,13 @@ def erasure_decode(
 ) -> DecodeResult:
     """Decode a binary word with erasures, or a ``(B, n)`` batch of them, by match counting.
 
-    The +1/-1/0 received vector times the +/-1 codeword matrix scores each
-    codeword as (unerased matches) - (unerased mismatches); a codeword
-    consistent with every surviving position scores exactly n minus the
-    number of erasures, and is unique whenever fewer than d_min positions
-    were erased.
+    ``codebook`` is the bit layout B from ``build_bipolar_codebook``.  The
+    +1/-1/0 received vector v times the +/-1 codeword matrix ``2B - J``
+    scores each codeword as (unerased matches) - (unerased mismatches); it
+    is computed as ``2*(v @ B) - sum(v)``, so the product runs on the bits.
+    A codeword consistent with every surviving position scores exactly n
+    minus the number of erasures, and is unique whenever fewer than d_min
+    positions were erased.
     """
     if code.q != 2:
         msg = f"erasure decoding is defined for binary codes, got q={code.q}"
@@ -258,51 +257,23 @@ def erasure_decode(
     if not isinstance(observation, ErasureObservation):
         msg = "erasure decoding needs an ErasureObservation"
         raise InvalidParams(msg)
-    if observation.n != code.n or bipolar.n != code.n or bipolar.cols != code.size:
+    if (observation.n, codebook.block_size, codebook.rows, codebook.cols) != (
+        code.n, 1, code.n, code.size
+    ):
         msg = (
-            f"observation length {observation.n} and codebook {bipolar.n}x{bipolar.cols}"
-            f" must match n={code.n}, S={code.size}"
+            f"observation length {observation.n} and codebook {codebook.rows}x{codebook.cols}"
+            f" (block size {codebook.block_size}) must match the bit layout of"
+            f" n={code.n}, S={code.size}"
         )
         raise DimensionMismatch(msg)
     vector = bipolar_received_vector(observation)
-    scores = vec_times_bipolar_matrix(vector, bipolar.matrix, bipolar.factorization, ops=ops)
-    return _finish(code, scores, tie_tolerance)
-
-
-def build_syndrome_matrix(linear: LinearCode) -> tuple[CodebookMatrix, np.ndarray]:
-    """Syndrome-distance matrix and coset-leader table for a binary code.
-
-    Column j encodes the syndrome with base-2 index j, one (bit, 1-bit)
-    pair per syndrome coordinate, so a received syndrome's encoded vector
-    times this matrix counts, for every coset, the coordinates where the
-    two syndromes differ.  Returns the 2(n-k) x 2^(n-k) matrix and the
-    leader table aligned to the same index.
-    """
-    if linear.q != 2:
-        msg = f"syndrome decoding is defined for binary codes, got q={linear.q}"
-        raise NonBinaryCode(msg)
-    r = linear.n - linear.k
-    cols = 2**r
-    if 2 * r * cols > MAX_MATRIX_BITS:
-        msg = f"syndrome matrix of {2 * r}x{cols} bits exceeds the cap of {MAX_MATRIX_BITS}"
-        raise CapacityExceeded(msg)
-    leaders = coset_leaders(linear)
-    shifts = np.arange(r - 1, -1, -1, dtype=np.int64)
-    bits = (np.arange(cols, dtype=np.int64)[None, :] >> shifts[:, None]) & 1
-    dense = np.zeros((2 * r, cols), dtype=np.uint8)
-    dense[0::2] = bits
-    dense[1::2] = 1 - bits
-    matrix = BinaryMatrix.from_dense(dense)
-    fact = factorize(matrix) if cols >= 2 else None
-    codebook = CodebookMatrix(
-        rows=2 * r,
-        cols=cols,
-        matrix=matrix,
-        factorization=fact,
-        ones_per_column=r,
-        block_size=2,
-    )
-    return codebook, leaders
+    product = vec_times_matrix(vector, codebook.factorization, ops=ops)
+    if ops is not None:
+        # Per vector: S doublings, n - 1 additions for sum(v), S subtractions.
+        count = vector.size // code.n
+        ops.multiplications += count * code.size
+        ops.additions += count * (code.size + code.n - 1)
+    return _finish(code, 2.0 * product - vector.sum(axis=-1)[..., None], tie_tolerance)
 
 
 def syndrome_decode(
@@ -315,7 +286,7 @@ def syndrome_decode(
     """Classical syndrome decode with distances through the fast product.
 
     Encodes the received word's syndrome, multiplies it by the syndrome
-    matrix to get its Hamming distance to every coset's syndrome, picks the
+    codebook to get its Hamming distance to every coset's syndrome, picks the
     (necessarily unique) zero, and subtracts that coset's leader.  Takes one
     word ``(n,)`` or a batch ``(B, n)``.
     """
@@ -336,9 +307,11 @@ def syndrome_decode(
     h = parity_check_from_generator(linear)
     s = syndrome(h, bits, 2)
     vector = np.empty(s.shape[:-1] + (2 * r,), dtype=np.float64)
-    vector[..., 0::2] = 1.0 - s
-    vector[..., 1::2] = s
-    distances = _score_product(vector, syndrome_matrix, ops)
+    # Row 2i of the codebook marks coset syndromes with bit i = 0, row
+    # 2i+1 those with bit i = 1: score 1 where the bit differs from s_i.
+    vector[..., 0::2] = s
+    vector[..., 1::2] = 1.0 - s
+    distances = vec_times_matrix(vector, syndrome_matrix.factorization, ops=ops)
     leader_index = np.argmin(distances, axis=-1)
     if (np.take_along_axis(distances, leader_index[..., None], axis=-1) != 0.0).any():
         msg = "no coset syndrome matched the received syndrome exactly"
@@ -366,28 +339,5 @@ def isi_ml_decode(
     the last ``memory`` symbols is priced into the matrix.  ``memory=0``
     coincides with ``ml_decode``.
     """
-    if not isinstance(channel, IsiChannel):
-        msg = f"expected an IsiChannel, got {type(channel).__name__}"
-        raise InvalidParams(msg)
-    if channel.q != code.q:
-        msg = f"channel input alphabet {channel.q} does not match code q={code.q}"
-        raise DimensionMismatch(msg)
-    if codebook.memory != channel.memory or codebook.initial_symbol != channel.initial_symbol:
-        msg = (
-            f"codebook (memory={codebook.memory}, initial={codebook.initial_symbol})"
-            f" does not match channel (memory={channel.memory},"
-            f" initial={channel.initial_symbol})"
-        )
-        raise DimensionMismatch(msg)
-    if codebook.cols != code.size or codebook.rows != code.n * channel.tuple_count:
-        msg = (
-            f"codebook of {codebook.rows}x{codebook.cols} does not match a"
-            f" {code.size}-codeword code with n={code.n} over {channel.tuple_count} tuples"
-        )
-        raise DimensionMismatch(msg)
-    vector = conditional_probability_vector_isi(channel, received)
-    if vector.shape[-1] != codebook.rows:
-        msg = f"observation of length {np.shape(received)[-1]} does not match n={code.n}"
-        raise DimensionMismatch(msg)
-    scores = _score_product(vector, codebook, ops)
+    scores = _likelihoods(codebook, code, channel, (IsiChannel,), received, ops)
     return _finish(code, scores, tie_tolerance)

@@ -33,10 +33,6 @@ class HeightOutOfRange(FastmldError):
     """A universal-matrix height is outside the supported range."""
 
 
-class DegenerateMatrix(FastmldError):
-    """The matrix is too small to factorize (fewer than two columns)."""
-
-
 class ListSizeOutOfRange(FastmldError):
     """A list size is not in {1..S}."""
 

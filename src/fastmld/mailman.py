@@ -1,15 +1,19 @@
 """Binary vector-matrix products via the Mailman decomposition.
 
 A binary matrix with S columns is cut into row blocks of height
-``h = floor(log2 S)``.  Inside one block every column is one of the 2^h
-possible bit patterns, so the block equals ``U_h @ P`` where the universal
-matrix ``U_h`` holds all 2^h patterns as columns and ``P`` merely records
-which pattern each column carries.  A row vector times the block therefore
-costs one sweep that tabulates the vector against every pattern of ``U_h``
+``h = max(1, floor(log2 S))``, so every matrix factorizes, a single column
+included.  Inside one block every column is one of the 2^h possible bit
+patterns, so the block equals ``U_h @ P`` where the universal matrix
+``U_h`` holds all 2^h patterns as columns and ``P`` merely records which
+pattern each column carries.  A row vector times the block therefore costs
+one sweep that tabulates the vector against every pattern of ``U_h``
 (2^h - 1 additions, by a doubling recursion) plus one table lookup per
 column -- no multiplications at all.  Summed over ``ceil(m/h)`` blocks the
-additions stay below ``4*m*S/log2(S) + 2*S + m``, against ``m*S``
-multiply-adds for the dense product.
+additions stay below ``4*m*S/log2(S) + 2*S + m`` for S >= 2, against
+``m*S`` multiply-adds for the dense product.
+
+``vec_times_matrix`` is the one product every decoder runs;
+``vec_times_matrix_naive`` is the reference it is checked against.
 
 Inputs may contain ``-inf`` (log of a zero probability).  The doubling
 recursion and the column gather only ever add, and no input holds ``+inf``,
@@ -33,7 +37,6 @@ import numpy as np
 
 from .errors import (
     CapacityExceeded,
-    DegenerateMatrix,
     DimensionMismatch,
     HeightOutOfRange,
     InvalidParams,
@@ -158,12 +161,8 @@ def _block_heights(rows: int, cols: int) -> list[int]:
 def factorize(matrix: BinaryMatrix) -> MailmanFactorization:
     """Split ``matrix`` into row blocks and record each column's pattern.
 
-    Raises ``DegenerateMatrix`` for fewer than two columns; callers fall
-    back to the naive product in that case.
+    Every matrix factorizes: below four columns the blocks are one row high.
     """
-    if matrix.cols < 2:
-        msg = f"cannot factorize a matrix with {matrix.cols} column(s)"
-        raise DegenerateMatrix(msg)
     if matrix.rows == 0:
         return MailmanFactorization(rows=0, cols=matrix.cols, blocks=())
     blocks: list[MailmanBlock] = []
@@ -273,32 +272,6 @@ def vec_times_matrix_naive(
         if ops is not None:
             ops.additions += count * int(dense.sum())
     return out
-
-
-def vec_times_bipolar_matrix(
-    vector: np.ndarray,
-    matrix: BinaryMatrix,
-    factorization: MailmanFactorization | None = None,
-    ops: OpCount | None = None,
-) -> np.ndarray:
-    """Row vector(s) times the +/-1 matrix ``2*B - J`` given its 0/1 bits ``B``.
-
-    Uses ``v @ (2B - J) = 2*(v @ B) - sum(v)`` so the signed product still
-    runs through the binary kernel.  The vector must be finite; a ``(B, m)``
-    batch gives ``(B, S)`` scores.
-    """
-    vector, count = _check_vectors(vector, matrix.rows)
-    if not np.isfinite(vector).all():
-        msg = "bipolar products require a finite vector"
-        raise InvalidParams(msg)
-    if factorization is None:
-        product = vec_times_matrix_naive(vector, matrix, ops=ops)
-    else:
-        product = vec_times_matrix(vector, factorization, ops=ops)
-    if ops is not None:
-        ops.multiplications += count * matrix.cols
-        ops.additions += count * (matrix.cols + max(0, vector.shape[-1] - 1))
-    return 2.0 * product - vector.sum(axis=-1)[..., None]
 
 
 def op_count(factorization: MailmanFactorization) -> OpCount:

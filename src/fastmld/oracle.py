@@ -10,34 +10,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import (
-    ErasureObservation,
-    IsiChannel,
-    conditional_probability_vector,
-    conditional_probability_vector_isi,
-)
+from .channels import ErasureObservation, IsiChannel, conditional_probability_vector
 from .codes import Code, tuple_indices
-from .decoder import DecodeResult, argmax_scan
+from .decoder import DecodeResult, _finish
 from .errors import DimensionMismatch, InvalidParams
-
-
-def _finish(code: Code, scores: np.ndarray, tie_tolerance: float) -> DecodeResult:
-    best, ties = argmax_scan(scores, tie_tolerance)
-    best_score = float(scores[best - 1])
-    return DecodeResult(
-        best_index=best,
-        best_codeword=code.codewords[best - 1],
-        best_score=best_score,
-        ties=ties,
-        scores=scores,
-        implausible=bool(np.isneginf(best_score)),
-    )
 
 
 def esd_decode(
     code: Code, channel, received: np.ndarray, tie_tolerance: float = 0.0
 ) -> DecodeResult:
     """Exhaustive-search decode: sum log P(y_i | c_i) codeword by codeword."""
+    if isinstance(channel, IsiChannel):
+        msg = "esd_decode takes a memoryless channel; use esd_decode_isi"
+        raise InvalidParams(msg)
     table = conditional_probability_vector(channel, received).reshape(-1, code.q)
     if table.shape[0] != code.n:
         msg = f"observation of length {table.shape[0]} does not match n={code.n}"
@@ -56,7 +41,7 @@ def esd_decode_isi(
     if not isinstance(channel, IsiChannel):
         msg = f"expected an IsiChannel, got {type(channel).__name__}"
         raise InvalidParams(msg)
-    table = conditional_probability_vector_isi(channel, received).reshape(
+    table = conditional_probability_vector(channel, received).reshape(
         -1, channel.tuple_count
     )
     if table.shape[0] != code.n:

@@ -37,11 +37,11 @@ from .codes import (
     build_bipolar_codebook,
     build_codebook_matrix,
     build_codebook_matrix_isi,
+    build_syndrome_matrix,
     enumerate_codewords,
     random_linear_code,
 )
 from .decoder import (
-    build_syndrome_matrix,
     erasure_decode,
     isi_ml_decode,
     list_decode,

@@ -15,7 +15,6 @@ from fastmld import (
     SymbolOutOfRange,
     bipolar_received_vector,
     conditional_probability_vector,
-    conditional_probability_vector_isi,
     sample_channel,
 )
 
@@ -127,7 +126,7 @@ def test_isi_channel_validation():
 def test_isi_memoryless_degenerate_case():
     table = np.log(np.array([[0.8, 0.2], [0.3, 0.7]]))
     chan = IsiChannel(q=2, memory=0, output_alphabet_size=2, log_transition=table)
-    vec = conditional_probability_vector_isi(chan, np.array([1, 2]))
+    vec = conditional_probability_vector(chan, np.array([1, 2]))
     np.testing.assert_array_equal(vec.reshape(2, 2), [table[:, 0], table[:, 1]])
 
 
@@ -138,7 +137,7 @@ def test_isi_probability_vector_layout():
     probs = rng.dirichlet(np.ones(3), size=4)
     chan = IsiChannel.from_probabilities(2, 1, probs)
     y = np.array([2, 3])
-    vec = conditional_probability_vector_isi(chan, y)
+    vec = conditional_probability_vector(chan, y)
     assert vec.shape == (8,)
     np.testing.assert_array_equal(vec[:4], chan.log_transition[:, 1])
     np.testing.assert_array_equal(vec[4:], chan.log_transition[:, 2])
@@ -238,6 +237,6 @@ def test_batched_likelihood_rows_equal_single_vectors():
         np.testing.assert_array_equal(row, conditional_probability_vector(gaussian, y))
     isi = IsiChannel.from_probabilities(3, 1, rng.dirichlet(np.ones(4), size=9))
     outputs = rng.integers(1, 5, size=(9, 5))
-    rows = conditional_probability_vector_isi(isi, outputs)
+    rows = conditional_probability_vector(isi, outputs)
     for y, row in zip(outputs, rows):
-        np.testing.assert_array_equal(row, conditional_probability_vector_isi(isi, y))
+        np.testing.assert_array_equal(row, conditional_probability_vector(isi, y))

@@ -34,6 +34,10 @@ def test_code_validation():
         Code(q=2, n=2, codewords=np.array([[0, 1]]))
     with pytest.raises(InvalidParams):
         Code(q=2, n=2, codewords=np.array([[1, 1], [1, 1]]))  # duplicate rows
+    with pytest.raises(InvalidParams):
+        Code(q=2, n=2, codewords=np.array([[1, 2], [2, 1], [1, 2]]))  # not adjacent
+    # Rows that differ only in their last symbol are distinct.
+    Code(q=3, n=3, codewords=np.array([[2, 1, 3], [2, 1, 1], [2, 1, 2]]))
 
 
 def test_code_is_read_only():
@@ -116,7 +120,6 @@ def test_codebook_matrix_toy_code():
         dtype=np.uint8,
     )
     np.testing.assert_array_equal(codebook.matrix.to_dense(), expected)
-    assert codebook.ones_per_column == 3
     assert codebook.block_size == 2
     assert len(codebook.factorization.blocks) == 3
 

@@ -28,6 +28,9 @@ from fastmld import (
     list_decode,
     ml_decode,
     op_count,
+    parity_check_from_generator,
+    random_linear_code,
+    syndrome,
     syndrome_decode,
 )
 
@@ -214,6 +217,43 @@ def test_erasure_decode_requires_binary_code():
         build_bipolar_codebook(code)
 
 
+def test_single_codeword_code_decodes_like_the_oracle():
+    from fastmld import esd_decode_isi, min_distance_decode
+
+    code = Code(q=2, n=3, codewords=np.array([[2, 1, 2]]))
+    chan = toy_channel()
+    codebook = build_codebook_matrix(code)
+    assert op_count(codebook.factorization).additions == 2 * code.n * code.q
+    y = np.array([1, 1, 2])
+    reference = esd_decode(code, chan, y)
+    ops = OpCount()
+    result = ml_decode(codebook, code, chan, y, ops=ops)
+    assert (result.best_index, result.ties) == (1, reference.ties)
+    np.testing.assert_allclose(result.scores, reference.scores, rtol=1e-12)
+    listed = list_decode(codebook, code, chan, y, 1, ops)
+    assert listed.indices == (1,)
+    np.testing.assert_allclose(listed.scores, reference.scores, rtol=1e-12)
+    assert ops.additions == 2 * op_count(codebook.factorization).additions
+
+    bits = build_bipolar_codebook(code)
+    observation = ErasureObservation.from_string("1e0")
+    ops = OpCount()
+    result = erasure_decode(bits, code, observation, ops=ops)
+    assert result.ties == min_distance_decode(code, observation)[1]
+    assert result.best_score == 0.0  # one match, one mismatch, one erasure
+    assert ops.additions == op_count(bits.factorization).additions + code.size + code.n - 1
+
+    table = np.array([[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]])
+    chan = IsiChannel.from_probabilities(2, 1, table)
+    codebook = build_codebook_matrix_isi(code, 1)
+    reference = esd_decode_isi(code, chan, y)
+    ops = OpCount()
+    result = isi_ml_decode(codebook, code, chan, y, ops=ops)
+    assert result.ties == reference.ties
+    np.testing.assert_allclose(result.scores, reference.scores, rtol=1e-12)
+    assert ops.additions == op_count(codebook.factorization).additions == 2 * code.n * 4
+
+
 def test_erasure_decode_checks_length():
     code = enumerate_codewords(rep3_code())
     bipolar = build_bipolar_codebook(code)
@@ -225,12 +265,14 @@ def test_syndrome_matrix_repetition_code():
     linear = rep3_code()
     syndrome_matrix, leaders = build_syndrome_matrix(linear)
     assert (syndrome_matrix.rows, syndrome_matrix.cols) == (4, 4)
+    # The one-hot codebook of all 2-bit words: rows 2i and 2i+1 mark bit i
+    # equal to 0 and to 1.
     expected = np.array(
         [
-            [0, 0, 1, 1],
             [1, 1, 0, 0],
-            [0, 1, 0, 1],
+            [0, 0, 1, 1],
             [1, 0, 1, 0],
+            [0, 1, 0, 1],
         ],
         dtype=np.uint8,
     )
@@ -239,10 +281,19 @@ def test_syndrome_matrix_repetition_code():
 
 
 def test_syndrome_product_is_hamming_distance_between_syndromes():
-    linear = hamming_code()
-    syndrome_matrix, _ = build_syndrome_matrix(linear)
-    assert (syndrome_matrix.rows, syndrome_matrix.cols) == (6, 8)
-    assert syndrome_matrix.factorization is not None
+    rng = np.random.default_rng(27)
+    for linear in (hamming_code(), random_linear_code(2, 15, 7, 5)):
+        r = linear.n - linear.k
+        syndrome_matrix, leaders = build_syndrome_matrix(linear)
+        assert (syndrome_matrix.rows, syndrome_matrix.cols) == (2 * r, 2**r)
+        words = rng.integers(0, 2, size=(64, linear.n))
+        distances = syndrome_decode(linear, leaders, syndrome_matrix, words).distances
+        checks = parity_check_from_generator(linear)
+        for bits, row in zip(words, distances):
+            # Coset j's syndrome is the base-2 expansion of j.
+            index = int("".join(str(b) for b in syndrome(checks, bits, 2)), 2)
+            expected = [bin(index ^ j).count("1") for j in range(2**r)]
+            np.testing.assert_array_equal(row, expected)
 
 
 def test_syndrome_decode_repetition_code():
@@ -257,17 +308,16 @@ def test_syndrome_decode_repetition_code():
 def test_syndrome_decode_flags_missing_zero_coset():
     import dataclasses
 
-    from fastmld import BinaryMatrix
+    from fastmld import BinaryMatrix, factorize
 
     linear = rep3_code()
     syndrome_matrix, leaders = build_syndrome_matrix(linear)
     # Corrupt the matrix column the received syndrome should match exactly;
     # the zero-distance assertion must turn that into a loud error.
     dense = syndrome_matrix.matrix.to_dense()
-    dense[0, 1] ^= 1
-    broken = dataclasses.replace(
-        syndrome_matrix, matrix=BinaryMatrix.from_dense(dense), factorization=None
-    )
+    dense[1, 1] ^= 1  # column 1 (syndrome 01) now also marks bit 0 = 1
+    matrix = BinaryMatrix.from_dense(dense)
+    broken = dataclasses.replace(syndrome_matrix, matrix=matrix, factorization=factorize(matrix))
     with pytest.raises(NoZeroDistanceCoset):
         syndrome_decode(linear, leaders, broken, np.array([1, 1, 0]))
 

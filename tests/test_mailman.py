@@ -7,13 +7,11 @@ import fastmld.mailman as mailman
 from fastmld import (
     BinaryMatrix,
     CapacityExceeded,
-    DegenerateMatrix,
     HeightOutOfRange,
     OpCount,
     addition_bound,
     factorize,
     op_count,
-    vec_times_bipolar_matrix,
     vec_times_matrix,
     vec_times_matrix_naive,
     vec_times_universal,
@@ -70,10 +68,16 @@ def test_binary_matrix_capacity_cap(monkeypatch):
         BinaryMatrix.from_dense(np.zeros((9, 9), dtype=np.uint8))
 
 
-def test_factorize_rejects_single_column():
-    matrix = BinaryMatrix.from_dense(np.ones((4, 1), dtype=np.uint8))
-    with pytest.raises(DegenerateMatrix):
-        factorize(matrix)
+def test_factorize_single_column():
+    # One column: blocks one row high, two additions per row.
+    dense = np.array([[1], [0], [1], [1]], dtype=np.uint8)
+    fact = factorize(BinaryMatrix.from_dense(dense))
+    assert [b.height for b in fact.blocks] == [1, 1, 1, 1]
+    np.testing.assert_array_equal(fact.reconstruct().to_dense(), dense)
+    ops = OpCount()
+    vector = np.array([0.5, -2.0, 1.25, -np.inf])
+    np.testing.assert_array_equal(vec_times_matrix(vector, fact, ops), [-np.inf])
+    assert ops.additions == op_count(fact).additions == 8
 
 
 def test_block_heights_follow_log2_of_columns():
@@ -204,22 +208,6 @@ def test_naive_ops_count_set_bits():
     ops = OpCount()
     vec_times_matrix_naive(np.array([2.0, 3.0]), BinaryMatrix.from_dense(dense), ops)
     assert ops.total == 4
-
-
-def test_bipolar_product_is_affine_in_binary_product():
-    rng = np.random.default_rng(7)
-    dense = (rng.random((9, 33)) < 0.5).astype(np.uint8)
-    matrix = BinaryMatrix.from_dense(dense)
-    vector = rng.standard_normal(9)
-    out = vec_times_bipolar_matrix(vector, matrix, factorize(matrix))
-    expected = vector @ (2.0 * dense - 1.0)
-    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
-
-
-def test_bipolar_product_rejects_infinite_vector():
-    matrix = BinaryMatrix.from_dense(np.ones((2, 4), dtype=np.uint8))
-    with pytest.raises(Exception):
-        vec_times_bipolar_matrix(np.array([1.0, -np.inf]), matrix, factorize(matrix))
 
 
 def test_op_counter_merge():

@@ -8,6 +8,7 @@ from fastmld import (
     Code,
     DiscreteChannel,
     ErasureObservation,
+    InvalidParams,
     IsiChannel,
     esd_decode,
     esd_decode_isi,
@@ -32,8 +33,7 @@ def test_esd_never_touches_the_fast_kernels(monkeypatch):
     def explode(*args, **kwargs):
         raise AssertionError("oracle called a fast kernel")
 
-    for name in ("vec_times_matrix", "vec_times_matrix_naive", "vec_times_bipolar_matrix",
-                 "vec_times_universal", "factorize"):
+    for name in ("vec_times_matrix", "vec_times_matrix_naive", "vec_times_universal", "factorize"):
         monkeypatch.setattr(mailman, name, explode)
     result = esd_decode(toy_code(), toy_channel(), np.array([2, 1, 1]))
     assert result.best_index == 3
@@ -89,6 +89,12 @@ def test_ranking_equivalent_checks_score_profiles():
     assert not ranking_equivalent(scores, (1, 4), (1, 2))  # different score at rank 2
     assert not ranking_equivalent(scores, (1,), (1, 2))  # length mismatch
     assert ranking_equivalent(scores, (5,), (6,))  # both impossible
+
+
+def test_esd_decode_rejects_a_channel_with_memory():
+    chan = IsiChannel.from_probabilities(2, 1, np.full((4, 2), 0.5))
+    with pytest.raises(InvalidParams):
+        esd_decode(toy_code(), chan, np.array([1, 2, 1]))
 
 
 def test_esd_isi_scores_by_direct_computation():
