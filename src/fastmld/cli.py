@@ -22,6 +22,7 @@ from .codes import (
     build_codebook_matrix_isi,
     build_syndrome_matrix,
     enumerate_codewords,
+    parity_check_from_generator,
     random_linear_code,
 )
 from .decoder import (
@@ -163,7 +164,8 @@ def _cmd_erasure_decode(args, parser) -> int:
 
 def _cmd_syndrome_decode(args, parser) -> int:
     linear = read_linear_code_file(args.gen)
-    syndrome_matrix, leaders = build_syndrome_matrix(linear)
+    parity_check = parity_check_from_generator(linear)
+    syndrome_matrix, leaders = build_syndrome_matrix(linear, parity_check)
     parse_channel = None
     status = 0
     words = _received_words(args, parse_channel, 2)
@@ -171,7 +173,7 @@ def _cmd_syndrome_decode(args, parser) -> int:
         if i:
             print()
         bits = np.asarray(received, dtype=np.int64) - 1
-        outcome = syndrome_decode(linear, leaders, syndrome_matrix, bits)
+        outcome = syndrome_decode(linear, leaders, syndrome_matrix, bits, parity_check=parity_check)
         print(f"word {_symbols_text(received, 2)}")
         print(f"leader_index {outcome.leader_index}")
         print(f"leader {_symbols_text(leaders[outcome.leader_index] + 1, 2)}")

@@ -38,6 +38,9 @@ from .mailman import (
 #: Cap on the number of codewords an enumeration may materialize.
 MAX_CODEWORDS = 2**24
 
+#: Error patterns per syndrome product in ``coset_leaders``.
+_SCAN_ROWS = 1 << 14
+
 
 @dataclass(frozen=True)
 class Code:
@@ -343,27 +346,42 @@ def syndrome(parity_check: np.ndarray, word: np.ndarray, q: int) -> np.ndarray:
     return (word @ parity_check.T) % q
 
 
-def _weight_class(n: int, q: int, weight: int):
-    """All weight-w words over F_q in ascending lexicographic order."""
-    words = []
-    for support in itertools.combinations(range(n), weight):
-        for values in itertools.product(range(1, q), repeat=weight):
-            word = [0] * n
-            for pos, val in zip(support, values):
-                word[pos] = val
-            words.append(tuple(word))
-    words.sort()
-    return words
+def _weight_class(n: int, q: int, weight: int) -> np.ndarray:
+    """All words of weight w >= 1 over F_q, one per row, in ascending lexicographic order.
+
+    Entries take the smallest unsigned type that holds q - 1, and supports
+    and values stream into arrays, with no Python tuple per word.
+    """
+    dtype = np.min_scalar_type(q - 1)
+    supports = np.fromiter(
+        itertools.chain.from_iterable(itertools.combinations(range(n), weight)), dtype=np.intp
+    ).reshape(-1, weight)
+    values = np.fromiter(
+        itertools.chain.from_iterable(itertools.product(range(1, q), repeat=weight)), dtype=dtype
+    ).reshape(-1, weight)
+    words = np.zeros((supports.shape[0], values.shape[0], n), dtype=dtype)
+    words[
+        np.arange(supports.shape[0])[:, None, None],
+        np.arange(values.shape[0])[None, :, None],
+        supports[:, None, :],
+    ] = values[None, :, :]
+    words = words.reshape(-1, n)
+    # lexsort's last key is the primary one: the first coordinate.
+    return words[np.lexsort(words.T[::-1])]
 
 
-def coset_leaders(linear: LinearCode) -> np.ndarray:
+def coset_leaders(linear: LinearCode, parity_check: np.ndarray | None = None) -> np.ndarray:
     """Minimum-weight error pattern for every syndrome, indexed by syndrome.
 
     Row j is the leader whose syndrome, read as a base-q integer (first
     syndrome coordinate most significant), equals j.  Candidates are
     scanned in non-decreasing weight and, within a weight, ascending
     lexicographic order, so the recorded leader is the lexicographically
-    smallest among minimum-weight patterns in its coset.
+    smallest among minimum-weight patterns in its coset.  Each weight class
+    is scanned as one array, its syndromes taken ``_SCAN_ROWS`` patterns per
+    product, and each syndrome not seen at a lower weight takes its first
+    pattern in the class.  ``parity_check`` is the code's
+    ``parity_check_from_generator``, for a caller that already has it.
     """
     q, n, k = linear.q, linear.n, linear.k
     r = n - k
@@ -371,25 +389,35 @@ def coset_leaders(linear: LinearCode) -> np.ndarray:
     if count > MAX_CODEWORDS:
         msg = f"q^(n-k) = {count} cosets exceed the cap of {MAX_CODEWORDS}"
         raise CapacityExceeded(msg)
-    h = parity_check_from_generator(linear)
+    h = parity_check_from_generator(linear) if parity_check is None else parity_check
+    if h.shape != (r, n):
+        msg = f"parity checks of shape {h.shape} do not match an [{n}, {k}] code"
+        raise InvalidParams(msg)
     powers = q ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    # Row 0 keeps the zero pattern, which leads the code itself.
     leaders = np.zeros((count, n), dtype=np.int64)
     seen = np.zeros(count, dtype=bool)
-    found = 0
-    for weight in range(n + 1):
-        for word in _weight_class(n, q, weight):
-            vec = np.array(word, dtype=np.int64)
-            idx = int(powers @ ((h @ vec) % q))
-            if not seen[idx]:
-                seen[idx] = True
-                leaders[idx] = vec
-                found += 1
-                if found == count:
-                    return leaders
+    seen[0] = True
+    found = 1
+    for weight in range(1, n + 1):
+        if found == count:
+            break
+        words = _weight_class(n, q, weight)
+        # The product runs on int64 rows, so take it a bounded slice at a time.
+        keys = np.empty(words.shape[0], dtype=np.int64)
+        for lo in range(0, words.shape[0], _SCAN_ROWS):
+            keys[lo : lo + _SCAN_ROWS] = ((words[lo : lo + _SCAN_ROWS] @ h.T) % q) @ powers
+        syndromes, first = np.unique(keys, return_index=True)
+        fresh = ~seen[syndromes]
+        leaders[syndromes[fresh]] = words[first[fresh]]
+        seen[syndromes[fresh]] = True
+        found += int(fresh.sum())
     return leaders
 
 
-def build_syndrome_matrix(linear: LinearCode) -> tuple[CodebookMatrix, np.ndarray]:
+def build_syndrome_matrix(
+    linear: LinearCode, parity_check: np.ndarray | None = None
+) -> tuple[CodebookMatrix, np.ndarray]:
     """Syndrome codebook and coset-leader table for a binary code.
 
     The codebook is the one-hot codebook, 2(n-k) x 2^(n-k), of all binary
@@ -398,11 +426,12 @@ def build_syndrome_matrix(linear: LinearCode) -> tuple[CodebookMatrix, np.ndarra
     A received syndrome s scored s_i in row 2i and 1 - s_i in row 2i+1
     gets, from the product, its Hamming distance to every coset's syndrome.
     Returns the codebook and the leader table aligned to the same index.
+    ``parity_check`` is passed on to ``coset_leaders``.
     """
     if linear.q != 2:
         msg = f"syndrome decoding is defined for binary codes, got q={linear.q}"
         raise NonBinaryCode(msg)
-    leaders = coset_leaders(linear)
+    leaders = coset_leaders(linear, parity_check)
     r = linear.n - linear.k
     shifts = np.arange(r - 1, -1, -1, dtype=np.int64)
     bits = (np.arange(2**r, dtype=np.int64)[None, :] >> shifts[:, None]) & 1

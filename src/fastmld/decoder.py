@@ -112,13 +112,8 @@ def argmax_scan(scores: np.ndarray, tie_tolerance: float = 0.0) -> tuple[int, tu
     if scores.ndim != 1 or scores.shape[0] < 1:
         msg = "scores must be a non-empty 1-d vector"
         raise InvalidParams(msg)
-    ties = tie_set(_tie_mask(scores, tie_tolerance))
+    ties = tuple(int(j) + 1 for j in np.flatnonzero(_tie_mask(scores, tie_tolerance)))
     return ties[0], ties
-
-
-def tie_set(mask: np.ndarray) -> tuple[int, ...]:
-    """Ascending 1-based indices of the marked entries of a 1-d tie mask."""
-    return tuple(int(j) + 1 for j in np.flatnonzero(mask))
 
 
 def _tie_mask(scores: np.ndarray, tie_tolerance: float) -> np.ndarray:
@@ -282,13 +277,16 @@ def syndrome_decode(
     syndrome_matrix: CodebookMatrix,
     received_bits: np.ndarray,
     ops: OpCount | None = None,
+    parity_check: np.ndarray | None = None,
 ) -> SyndromeResult:
     """Classical syndrome decode with distances through the fast product.
 
     Encodes the received word's syndrome, multiplies it by the syndrome
     codebook to get its Hamming distance to every coset's syndrome, picks the
     (necessarily unique) zero, and subtracts that coset's leader.  Takes one
-    word ``(n,)`` or a batch ``(B, n)``.
+    word ``(n,)`` or a batch ``(B, n)``.  ``parity_check`` is the code's
+    ``parity_check_from_generator``; a caller that decodes many times
+    passes it to skip the row reduction.
     """
     if linear.q != 2:
         msg = f"syndrome decoding is defined for binary codes, got q={linear.q}"
@@ -301,11 +299,16 @@ def syndrome_decode(
         msg = "received word must be binary (0/1)"
         raise ObservationOutOfAlphabet(msg)
     r = linear.n - linear.k
-    if leaders.shape != (2**r, linear.n) or syndrome_matrix.cols != 2**r:
-        msg = "leader table and syndrome matrix do not match the code"
+    if parity_check is None:
+        parity_check = parity_check_from_generator(linear)
+    if (
+        leaders.shape != (2**r, linear.n)
+        or syndrome_matrix.cols != 2**r
+        or parity_check.shape != (r, linear.n)
+    ):
+        msg = "leader table, syndrome matrix and parity checks do not match the code"
         raise DimensionMismatch(msg)
-    h = parity_check_from_generator(linear)
-    s = syndrome(h, bits, 2)
+    s = syndrome(parity_check, bits, 2)
     vector = np.empty(s.shape[:-1] + (2 * r,), dtype=np.float64)
     # Row 2i of the codebook marks coset syndromes with bit i = 0, row
     # 2i+1 those with bit i = 1: score 1 where the bit differs from s_i.

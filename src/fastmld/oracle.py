@@ -1,9 +1,16 @@
 """Brute-force reference decoders.
 
-Every function here walks the codebook and evaluates each codeword's score
-directly, with no matrix factorization anywhere on the path.  They exist
-to cross-check the fast decoders and to anchor tests, so they are kept
-deliberately plain: a gather of per-position log-likelihoods and a sum.
+Every function here scores every codeword directly, with no matrix
+factorization anywhere on the path.  They exist to cross-check the fast
+decoders and to anchor tests, so they are kept deliberately plain: a
+gather of per-position log-likelihoods (or symbol mismatches) and a sum.
+
+Each takes one observation ``(n,)`` or a batch ``(B, n)`` and scores a
+block of codewords at a time: one C-contiguous ``(B, block, n)`` gather,
+summed over its last axis.  numpy sums a contiguous last axis row by row
+in the same pairwise order as the 1-d ``sum`` of that row, so a score is
+bitwise the same whatever the batch or the block.  Row b of a batched
+result equals the result for observation b alone.
 """
 
 from __future__ import annotations
@@ -15,76 +22,98 @@ from .codes import Code, tuple_indices
 from .decoder import DecodeResult, _finish
 from .errors import DimensionMismatch, InvalidParams
 
+#: Byte budget for one block's ``(B, block, n)`` gather of 8-byte entries.
+_GATHER_BYTES = 1 << 20
+
+
+def _blocks(batch: int, code: Code):
+    """Codeword ranges ``(lo, hi)`` whose gather for ``batch`` rows fits ``_GATHER_BYTES``."""
+    step = max(1, _GATHER_BYTES // (8 * max(batch, 1) * code.n))
+    return ((lo, min(lo + step, code.size)) for lo in range(0, code.size, step))
+
+
+def _gather_sums(code: Code, channel, received, width: int, symbol_index) -> np.ndarray:
+    """Every codeword's log-likelihood, ``(S,)`` for one observation or ``(B, S)``.
+
+    ``symbol_index`` maps codewords ``(block, n)`` to each position's
+    column in that position's block of ``width`` likelihood entries.
+    """
+    vector = conditional_probability_vector(channel, received)
+    if vector.shape[-1] != code.n * width:
+        msg = f"observation of length {vector.shape[-1] // width} does not match n={code.n}"
+        raise DimensionMismatch(msg)
+    table = vector.reshape(-1, vector.shape[-1])
+    offsets = np.arange(code.n) * width
+    scores = np.empty((table.shape[0], code.size), dtype=np.float64)
+    for lo, hi in _blocks(table.shape[0], code):
+        rows = symbol_index(code.codewords[lo:hi]) + offsets
+        scores[:, lo:hi] = np.take(table, rows, axis=1).sum(axis=-1)
+    return scores.reshape(vector.shape[:-1] + (code.size,))
+
 
 def esd_decode(
     code: Code, channel, received: np.ndarray, tie_tolerance: float = 0.0
 ) -> DecodeResult:
-    """Exhaustive-search decode: sum log P(y_i | c_i) codeword by codeword."""
+    """Exhaustive-search decode: sum log P(y_i | c_i) for every codeword.
+
+    Takes one observation ``(n,)`` or a batch ``(B, n)``.
+    """
     if isinstance(channel, IsiChannel):
         msg = "esd_decode takes a memoryless channel; use esd_decode_isi"
         raise InvalidParams(msg)
-    table = conditional_probability_vector(channel, received).reshape(-1, code.q)
-    if table.shape[0] != code.n:
-        msg = f"observation of length {table.shape[0]} does not match n={code.n}"
-        raise DimensionMismatch(msg)
-    positions = np.arange(code.n)
-    scores = np.empty(code.size, dtype=np.float64)
-    for j in range(code.size):
-        scores[j] = table[positions, code.codewords[j] - 1].sum()
+    scores = _gather_sums(code, channel, received, code.q, lambda words: words - 1)
     return _finish(code, scores, tie_tolerance)
 
 
 def esd_decode_isi(
     code: Code, channel: IsiChannel, received: np.ndarray, tie_tolerance: float = 0.0
 ) -> DecodeResult:
-    """Exhaustive-search decode over a channel with memory."""
+    """Exhaustive-search decode over a channel with memory, of ``(n,)`` or ``(B, n)`` outputs."""
     if not isinstance(channel, IsiChannel):
         msg = f"expected an IsiChannel, got {type(channel).__name__}"
         raise InvalidParams(msg)
-    table = conditional_probability_vector(channel, received).reshape(
-        -1, channel.tuple_count
+    scores = _gather_sums(
+        code,
+        channel,
+        received,
+        channel.tuple_count,
+        lambda words: tuple_indices(code.q, channel.memory, words, channel.initial_symbol),
     )
-    if table.shape[0] != code.n:
-        msg = f"observation of length {table.shape[0]} does not match n={code.n}"
-        raise DimensionMismatch(msg)
-    positions = np.arange(code.n)
-    scores = np.empty(code.size, dtype=np.float64)
-    for j in range(code.size):
-        idx = tuple_indices(code.q, channel.memory, code.codewords[j], channel.initial_symbol)
-        scores[j] = table[positions, idx].sum()
     return _finish(code, scores, tie_tolerance)
 
 
 def min_distance_decode(
     code: Code, received
-) -> tuple[int, tuple[int, ...], np.ndarray]:
+) -> tuple[int | np.ndarray, tuple[int, ...] | np.ndarray, np.ndarray]:
     """Hamming-distance argmin over the codebook.
 
-    Accepts a 1-based symbol word or an ErasureObservation (erased
-    positions are skipped).  Returns (best 1-based index, ascending tie
-    set, per-codeword distances).
+    Accepts 1-based symbols, one word ``(n,)`` or a batch ``(B, n)``, or an
+    ErasureObservation of either shape (erased positions are skipped).
+    Returns (best 1-based index, ascending tie set, per-codeword distances).
+    For a batch they are ``(B,)``, a ``(B, S)`` tie mask and ``(B, S)``.
     """
     if isinstance(received, ErasureObservation):
         keep = received.values >= 0
-        word = received.values[keep] + 1
+        word = received.values + 1
     else:
         word = np.asarray(received, dtype=np.int64)
-        keep = np.ones(word.shape[0], dtype=bool)
-        if word.shape[0] != code.n:
-            msg = f"received word of length {word.shape[0]} does not match n={code.n}"
-            raise DimensionMismatch(msg)
-    if keep.shape[0] != code.n:
-        msg = f"observation of length {keep.shape[0]} does not match n={code.n}"
+        keep = np.ones(word.shape, dtype=bool)
+    if word.ndim not in (1, 2) or word.shape[-1] != code.n:
+        msg = f"received words of shape {word.shape} do not match n={code.n}"
         raise DimensionMismatch(msg)
-    distances = (code.codewords[:, keep] != word[None, :]).sum(axis=1)
-    best = distances.min()
-    ties = tuple(int(j) + 1 for j in np.flatnonzero(distances == best))
-    return ties[0], ties, distances
+    words = word.reshape(-1, code.n)[:, None, :]
+    keeps = keep.reshape(-1, code.n)[:, None, :]
+    distances = np.empty((words.shape[0], code.size), dtype=np.int64)
+    for lo, hi in _blocks(words.shape[0], code):
+        distances[:, lo:hi] = ((code.codewords[lo:hi] != words) & keeps).sum(axis=-1)
+    distances = distances.reshape(word.shape[:-1] + (code.size,))
+    result = _finish(code, -distances, 0.0)
+    return result.best_index, result.ties, distances
 
 
 def ranking_equivalent(
     scores: np.ndarray, first, second, tolerance: float = 1e-9
-) -> bool:
+) -> bool | np.ndarray:
     """Whether two index rankings are interchangeable under ``scores``.
 
     Rank for rank, both entries must carry the same score (within a
@@ -92,15 +121,18 @@ def ranking_equivalent(
     between independently computed rankings: inside an exact tie class the
     order is an arbitrary choice, and rounding in either scorer can permute
     it.  Equal score profiles are what maximum-likelihood ranking actually
-    pins down.
+    pins down.  With ``(B, S)`` scores and ``(B, L)`` rankings the answer is
+    a ``(B,)`` boolean array, one per row.
     """
-    if len(first) != len(second):
-        return False
     values = np.asarray(scores, dtype=np.float64)
-    for i, j in zip(first, second):
-        a, b = values[int(i) - 1], values[int(j) - 1]
-        if np.isneginf(a) and np.isneginf(b):
-            continue
-        if abs(a - b) > tolerance * max(1.0, abs(b)):
-            return False
-    return True
+    first = np.asarray(first, dtype=np.int64)
+    second = np.asarray(second, dtype=np.int64)
+    if first.shape != second.shape:
+        agree = np.zeros(values.shape[:-1], dtype=bool)
+    else:
+        a = np.take_along_axis(values, first - 1, axis=-1)
+        b = np.take_along_axis(values, second - 1, axis=-1)
+        with np.errstate(invalid="ignore"):
+            apart = np.abs(a - b) > tolerance * np.maximum(1.0, np.abs(b))
+        agree = ~(apart & ~(np.isneginf(a) & np.isneginf(b))).any(axis=-1)
+    return bool(agree) if values.ndim == 1 else agree

@@ -10,9 +10,10 @@ separately and excluded from that contract.
 
 Each worker runs its trials in chunks: it draws a chunk's codewords and
 channel outputs in one call each, decodes the whole chunk through one
-batched product, and tallies with array operations.  Codewords and noise
-come from two streams drawn in trial order, so the report does not depend
-on the chunk size.
+batched product, and tallies with array operations.  With the oracle check
+on, one brute-force oracle call per chunk re-decodes the whole chunk.
+Codewords and noise come from two streams drawn in trial order, so the
+report does not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from .channels import (
     DiscreteChannel,
     ErasureChannel,
-    ErasureObservation,
     IsiChannel,
     sample_channel,
 )
@@ -39,6 +39,7 @@ from .codes import (
     build_codebook_matrix_isi,
     build_syndrome_matrix,
     enumerate_codewords,
+    parity_check_from_generator,
     random_linear_code,
 )
 from .decoder import (
@@ -47,7 +48,6 @@ from .decoder import (
     list_decode,
     ml_decode,
     syndrome_decode,
-    tie_set,
 )
 from .errors import InvalidParams
 from .mailman import (
@@ -264,7 +264,9 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
         if not isinstance(channel, DiscreteChannel) or channel.q != 2:
             msg = "syndrome simulation needs a binary discrete channel"
             raise InvalidParams(msg)
-        structure = build_syndrome_matrix(linear)
+        # One row reduction serves the leader scan and every chunk's decode.
+        parity_check = parity_check_from_generator(linear)
+        structure = build_syndrome_matrix(linear, parity_check) + (parity_check,)
     else:
         if not isinstance(channel, IsiChannel):
             msg = "isi simulation needs an IsiChannel"
@@ -307,7 +309,8 @@ def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, 
 
     ``picks`` draws the transmitted codewords and ``noise`` the channel
     outputs.  Each is drawn in trial order, a chunk taking the next values
-    of both, so any chunk size gives the same trials.
+    of both, so any chunk size gives the same trials.  Each chunk makes one
+    decoder call and, with ``oracle_check``, one oracle call.
     """
     variant = config.variant
     channel = config.channel
@@ -338,9 +341,7 @@ def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, 
         tally.word_errors += count - int(hit.sum())
         tally.symbol_errors += int((decoded != words).sum())
         if config.oracle_check:
-            tally.disagreements += sum(
-                _oracle_disagrees(config, code, observation, result, row) for row in range(count)
-            )
+            tally.disagreements += _oracle_disagreements(config, code, observation, result)
     return tally
 
 
@@ -371,32 +372,38 @@ def _decode_chunk(config: SimConfig, code, linear, structure, observation, ops):
     if variant == "erasure":
         return erasure_decode(structure, code, observation, config.tie_tolerance, ops)
     if variant == "syndrome":
-        syndrome_matrix, leaders = structure
-        return syndrome_decode(linear, leaders, syndrome_matrix, observation - 1, ops)
+        syndrome_matrix, leaders, parity_check = structure
+        return syndrome_decode(linear, leaders, syndrome_matrix, observation - 1, ops, parity_check)
     return isi_ml_decode(structure, code, channel, observation, config.tie_tolerance, ops)
 
 
-def _oracle_disagrees(config: SimConfig, code, observation, result, row: int) -> int:
-    """Return 1 when the brute-force reference disagrees with trial ``row`` of a chunk."""
+def _oracle_disagreements(config: SimConfig, code, observation, result) -> int:
+    """How many trials of a chunk the brute-force reference decodes differently.
+
+    One oracle call scores the whole chunk.  ml and isi compare tie sets,
+    erasure compares them with the minimum-distance ties, list checks the
+    ranking against the reference's, and syndrome checks that the
+    corrected word is one of the minimum-distance ties.
+    """
     variant = config.variant
     channel = config.channel
-    if variant == "erasure":
-        _, reference_ties, _ = min_distance_decode(code, ErasureObservation(values=observation.values[row]))
-        return int(reference_ties != tie_set(result.ties[row]))
-    received = observation[row]
-    if variant in ("ml", "isi"):
-        decode = esd_decode_isi if variant == "isi" else esd_decode
-        reference = decode(code, channel, received, config.tie_tolerance)
-        return int(reference.ties != tie_set(result.ties[row]))
+    if variant in ("erasure", "syndrome"):
+        _, reference, _ = min_distance_decode(code, observation)
+        if variant == "erasure":
+            return int((reference != result.ties).any(axis=1).sum())
+        # Distance 0 to codeword j means the corrected word is codeword j.
+        _, corrected, distances = min_distance_decode(code, result.codeword + 1)
+        found = (corrected & reference).any(axis=1) & (distances.min(axis=1) == 0)
+        return int((~found).sum())
+    decode = esd_decode_isi if variant == "isi" else esd_decode
+    reference = decode(code, channel, observation, config.tie_tolerance)
     if variant == "list":
-        reference = esd_decode(code, channel, received, config.tie_tolerance)
-        order = np.lexsort((np.arange(code.size), -reference.scores))
-        expected = tuple(int(j) + 1 for j in order[: config.list_size])
-        return int(not ranking_equivalent(reference.scores, result.indices[row], expected))
-    _, reference_ties, _ = min_distance_decode(code, received)
-    match = (code.codewords == result.codeword[row] + 1).all(axis=1)
-    decoded_index = int(np.flatnonzero(match)[0]) + 1
-    return int(decoded_index not in reference_ties)
+        scores = reference.scores
+        index = np.broadcast_to(np.arange(code.size), scores.shape)
+        order = np.lexsort((index, -scores), axis=-1)
+        expected = order[:, : config.list_size] + 1
+        return int((~ranking_equivalent(scores, result.indices, expected)).sum())
+    return int((reference.ties != result.ties).any(axis=1).sum())
 
 
 def bench_multiply(

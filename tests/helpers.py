@@ -16,6 +16,9 @@ HAMMING_G = np.array(
 
 REP3_G = np.array([[1, 1, 1]])
 
+# Coefficients of the generator polynomial of the cyclic [23,12] Golay code.
+GOLAY_POLYNOMIAL = (1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1)
+
 
 def hamming_code() -> LinearCode:
     return LinearCode(q=2, n=7, k=4, generator=HAMMING_G)
@@ -23,6 +26,14 @@ def hamming_code() -> LinearCode:
 
 def rep3_code() -> LinearCode:
     return LinearCode(q=2, n=3, k=1, generator=REP3_G)
+
+
+def golay_code() -> LinearCode:
+    """The perfect [23,12] Golay code: its generator rows are shifts of g(x)."""
+    generator = np.zeros((12, 23), dtype=np.int64)
+    for i in range(12):
+        generator[i, i : i + 12] = GOLAY_POLYNOMIAL
+    return LinearCode(q=2, n=23, k=12, generator=generator)
 
 
 def toy_code() -> Code:

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ from fastmld import (
     tuple_indices,
 )
 
-from helpers import HAMMING_G, hamming_code, random_code, rep3_code, toy_code
+from helpers import HAMMING_G, golay_code, hamming_code, random_code, rep3_code, toy_code
 
 
 def test_code_validation():
@@ -243,3 +245,50 @@ def test_coset_leader_ties_break_lexicographically():
     linear = LinearCode(q=2, n=2, k=1, generator=np.array([[1, 1]]))
     leaders = coset_leaders(linear)
     np.testing.assert_array_equal(leaders, [[0, 0], [0, 1]])
+
+
+def _coset_leaders_by_scan(linear):
+    """Reference: try error patterns one at a time, lowest weight and lexicographically first wins."""
+    q, n, r = linear.q, linear.n, linear.n - linear.k
+    h = parity_check_from_generator(linear)
+    powers = q ** np.arange(r - 1, -1, -1, dtype=np.int64)
+    leaders = np.zeros((q**r, n), dtype=np.int64)
+    seen = set()
+    for weight in range(n + 1):
+        patterns = []
+        for support in itertools.combinations(range(n), weight):
+            for values in itertools.product(range(1, q), repeat=weight):
+                word = [0] * n
+                for pos, val in zip(support, values):
+                    word[pos] = val
+                patterns.append(tuple(word))
+        for word in sorted(patterns):
+            index = int(powers @ ((h @ np.array(word, dtype=np.int64)) % q))
+            if index not in seen:
+                seen.add(index)
+                leaders[index] = word
+                if len(seen) == q**r:
+                    return leaders
+    return leaders
+
+
+@pytest.mark.parametrize(
+    "linear",
+    [
+        hamming_code(),
+        golay_code(),
+        random_linear_code(2, 15, 7, seed=5),
+        random_linear_code(2, 12, 12, seed=6),
+        random_linear_code(3, 8, 4, seed=7),
+        random_linear_code(5, 6, 3, seed=8),
+    ],
+    ids=["hamming", "golay", "random-15-7", "full-12-12", "ternary-8-4", "q5-6-3"],
+)
+def test_coset_leaders_match_the_pattern_by_pattern_scan(linear):
+    leaders = coset_leaders(linear)
+    np.testing.assert_array_equal(leaders, _coset_leaders_by_scan(linear))
+    assert leaders.dtype == np.int64
+    checks = parity_check_from_generator(linear)
+    np.testing.assert_array_equal(coset_leaders(linear, checks), leaders)
+    with pytest.raises(InvalidParams):
+        coset_leaders(linear, checks[:, 1:])

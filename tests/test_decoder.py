@@ -303,6 +303,11 @@ def test_syndrome_decode_repetition_code():
     np.testing.assert_array_equal(outcome.codeword, [1, 1, 1])
     assert outcome.leader_index == 1  # error pattern 001
     assert outcome.distances[outcome.leader_index] == 0.0
+    checks = parity_check_from_generator(linear)
+    given = syndrome_decode(linear, leaders, syndrome_matrix, np.array([1, 1, 0]), parity_check=checks)
+    np.testing.assert_array_equal(given.codeword, outcome.codeword)
+    with pytest.raises(DimensionMismatch):
+        syndrome_decode(linear, leaders, syndrome_matrix, np.array([1, 1, 0]), parity_check=checks[:1])
 
 
 def test_syndrome_decode_flags_missing_zero_coset():

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import fastmld.mailman as mailman
+import fastmld.oracle as oracle
 from fastmld import (
+    ERASED,
     Code,
+    ContinuousChannel,
     DiscreteChannel,
     ErasureObservation,
     InvalidParams,
@@ -13,10 +16,15 @@ from fastmld import (
     esd_decode,
     esd_decode_isi,
     min_distance_decode,
+    tuple_indices,
 )
 
 from helpers import all_words, hamming_code, toy_code, toy_channel
 from fastmld import enumerate_codewords
+
+
+def tie_set_of(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(int(j) + 1 for j in np.flatnonzero(mask))
 
 
 def test_esd_toy_case():
@@ -43,6 +51,11 @@ def test_esd_never_touches_the_fast_kernels(monkeypatch):
     chan = IsiChannel(q=2, memory=1, output_alphabet_size=2, log_transition=table)
     code = Code(q=2, n=2, codewords=np.array([[1, 1], [2, 2]]))
     esd_decode_isi(code, chan, np.array([1, 2]))
+    batch = np.array([[2, 1, 1], [2, 2, 2]])
+    np.testing.assert_array_equal(esd_decode(toy_code(), toy_channel(), batch).best_index, [3, 4])
+    min_distance_decode(toy_code(), batch)
+    min_distance_decode(toy_code(), ErasureObservation(values=batch - 1))
+    esd_decode_isi(code, chan, np.array([[1, 2], [2, 2]]))
 
 
 def test_oracle_module_never_mentions_the_kernel():
@@ -116,3 +129,87 @@ def test_esd_isi_scores_by_direct_computation():
             history.append(bit)
         expected.append(total)
     np.testing.assert_allclose(result.scores, expected, rtol=1e-15)
+
+
+def _scores_by_loop(table: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Reference: one codeword at a time, ``table[positions, c].sum()`` of an (n, width) table."""
+    positions = np.arange(table.shape[0])
+    return np.array([table[positions, c].sum() for c in columns])
+
+
+@pytest.mark.parametrize("n", [7, 23, 150])
+def test_batched_esd_scores_equal_the_per_codeword_loop_bitwise(monkeypatch, n):
+    # 150 positions cross numpy's pairwise-summation block of 128, and a
+    # small gather budget splits the codebook into many blocks.
+    monkeypatch.setattr(oracle, "_GATHER_BYTES", 8 * 3 * n * 5)
+    rng = np.random.default_rng(n)
+    code = Code(q=3, n=n, codewords=np.unique(rng.integers(1, 4, size=(40, n)), axis=0))
+    chan = ContinuousChannel.awgn(0.7, (-1.0, 0.2, 1.3))
+    y = 3.0 * rng.standard_normal((4, n))
+    result = esd_decode(code, chan, y)
+    for b in range(4):
+        table = chan.log_density(y[b])
+        expected = _scores_by_loop(table, code.codewords - 1)
+        np.testing.assert_array_equal(result.scores[b], expected)
+        np.testing.assert_array_equal(esd_decode(code, chan, y[b]).scores, expected)
+
+    isi = IsiChannel.from_probabilities(3, 1, rng.dirichlet(np.ones(4), size=9))
+    outputs = rng.integers(1, 5, size=(4, n))
+    result = esd_decode_isi(code, isi, outputs)
+    columns = tuple_indices(3, 1, code.codewords)
+    for b in range(4):
+        table = isi.log_transition.T[outputs[b] - 1]
+        expected = _scores_by_loop(table, columns)
+        np.testing.assert_array_equal(result.scores[b], expected)
+        np.testing.assert_array_equal(esd_decode_isi(code, isi, outputs[b]).scores, expected)
+
+
+def test_batched_oracle_rows_equal_single_words(monkeypatch):
+    monkeypatch.setattr(oracle, "_GATHER_BYTES", 8 * 5 * 7 * 3)
+    code = enumerate_codewords(hamming_code())
+    rng = np.random.default_rng(8)
+    words = np.vstack([all_words(2, 7)[::9], code.codewords[:2]])
+    bsc = DiscreteChannel.bsc(0.2)
+    result = esd_decode(code, bsc, words, tie_tolerance=1e-12)
+    isi = IsiChannel.from_probabilities(2, 1, rng.dirichlet(np.ones(2), size=4))
+    isi_result = esd_decode_isi(code, isi, words)
+    best, ties, distances = min_distance_decode(code, words)
+    values = np.where(rng.random(words.shape) < 0.4, ERASED, words - 1)
+    erased_best, erased_ties, erased_distances = min_distance_decode(
+        code, ErasureObservation(values=values)
+    )
+    for b, word in enumerate(words):
+        for batched, single in (
+            (result, esd_decode(code, bsc, word, tie_tolerance=1e-12)),
+            (isi_result, esd_decode_isi(code, isi, word)),
+        ):
+            assert batched.best_index[b] == single.best_index
+            np.testing.assert_array_equal(batched.best_codeword[b], single.best_codeword)
+            assert batched.best_score[b] == single.best_score
+            assert tie_set_of(batched.ties[b]) == single.ties
+            np.testing.assert_array_equal(batched.scores[b], single.scores)
+            assert batched.implausible[b] == single.implausible
+        for batched, single in (
+            ((best, ties, distances), min_distance_decode(code, word)),
+            (
+                (erased_best, erased_ties, erased_distances),
+                min_distance_decode(code, ErasureObservation(values=values[b])),
+            ),
+        ):
+            assert batched[0][b] == single[0]
+            assert tie_set_of(batched[1][b]) == single[1]
+            np.testing.assert_array_equal(batched[2][b], single[2])
+
+
+def test_ranking_equivalent_row_by_row():
+    from fastmld import ranking_equivalent
+
+    scores = np.array([[5.0, 3.0, 3.0, 1.0], [5.0, 3.0, -np.inf, -np.inf]])
+    first = np.array([[1, 2, 3], [1, 3, 4]])
+    second = np.array([[1, 3, 2], [1, 4, 3]])
+    np.testing.assert_array_equal(ranking_equivalent(scores, first, second), [True, True])
+    np.testing.assert_array_equal(
+        ranking_equivalent(scores, first, np.array([[1, 4, 2], [2, 3, 4]])), [False, False]
+    )
+    for b in range(2):
+        assert ranking_equivalent(scores[b], first[b], second[b])

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -20,7 +21,7 @@ from fastmld import (
 )
 from fastmld.simulate import _Tally
 
-from helpers import hamming_code, rep3_code, toy_code
+from helpers import golay_code, hamming_code, rep3_code, toy_code
 
 
 def test_noiseless_channel_never_errs():
@@ -231,22 +232,22 @@ def test_bench_rejects_zero_repetitions():
         bench_multiply([8], [16], repetitions=0)
 
 
-@pytest.mark.parametrize(
-    "variant, channel",
-    [
-        ("ml", DiscreteChannel.bsc(0.1)),
-        ("ml", ContinuousChannel.awgn(0.8)),
-        ("list", ContinuousChannel.awgn(0.8)),
-        ("erasure", ErasureChannel(erasure_probability=0.3)),
-        ("syndrome", DiscreteChannel.bsc(0.1)),
-        ("isi", IsiChannel.from_probabilities(2, 1, [[0.9, 0.1], [0.7, 0.3], [0.3, 0.7], [0.1, 0.9]])),
-    ],
-)
-def test_report_independent_of_chunk_size(monkeypatch, variant, channel):
+CHUNKED_VARIANTS = [
+    ("ml", DiscreteChannel.bsc(0.1)),
+    ("ml", ContinuousChannel.awgn(0.8)),
+    ("list", ContinuousChannel.awgn(0.8)),
+    ("erasure", ErasureChannel(erasure_probability=0.3)),
+    ("syndrome", DiscreteChannel.bsc(0.1)),
+    ("isi", IsiChannel.from_probabilities(2, 1, [[0.9, 0.1], [0.7, 0.3], [0.3, 0.7], [0.1, 0.9]])),
+]
+
+
+def _report_at_every_chunk_size(monkeypatch, source, trials: int, variant, channel) -> str:
+    """The oracle-checked report, after checking that reruns and 1 or 7 trials per chunk repeat it."""
     config = SimConfig(
-        code_source=hamming_code(),
+        code_source=source,
         channel=channel,
-        trials=101,
+        trials=trials,
         seed=44,
         variant=variant,
         list_size=3,
@@ -258,7 +259,51 @@ def test_report_independent_of_chunk_size(monkeypatch, variant, channel):
     for trials_per_chunk in (1, 7):
         monkeypatch.setattr(simulate, "_chunk_trials", lambda *_: trials_per_chunk)
         assert run_monte_carlo(config).canonical_text() == report
+    return report
+
+
+@pytest.mark.parametrize("variant, channel", CHUNKED_VARIANTS)
+def test_report_independent_of_chunk_size(monkeypatch, variant, channel):
+    report = _report_at_every_chunk_size(monkeypatch, hamming_code(), 101, variant, channel)
     assert "oracle_disagreements 0\n" in report
+
+
+@pytest.mark.parametrize("variant, channel", CHUNKED_VARIANTS)
+def test_golay_report_independent_of_chunk_size(monkeypatch, variant, channel):
+    # At S = 4096 each chunk's oracle call gathers in several blocks.
+    report = _report_at_every_chunk_size(monkeypatch, golay_code(), 20, variant, channel)
+    # The fast ISI product and the oracle sum each score in a different
+    # order, and on Golay that splits exact ties differently (2 trials here).
+    if variant != "isi":
+        assert "oracle_disagreements 0\n" in report
+
+
+@pytest.mark.parametrize("variant, channel", CHUNKED_VARIANTS)
+def test_oracle_check_counts_every_wrong_decode(monkeypatch, variant, channel):
+    decode = simulate._decode_chunk
+
+    def wrong(*args):
+        result = decode(*args)
+        if variant == "list":  # Gaussian scores never tie, so a reversed list is wrong
+            return dataclasses.replace(result, indices=result.indices[:, ::-1])
+        if variant == "syndrome":  # at distance 3, a codeword with one bit flipped is none
+            flipped = result.codeword.copy()
+            flipped[:, 0] ^= 1
+            return dataclasses.replace(result, codeword=flipped)
+        return dataclasses.replace(result, ties=~result.ties)
+
+    monkeypatch.setattr(simulate, "_decode_chunk", wrong)
+    config = SimConfig(
+        code_source=hamming_code(),
+        channel=channel,
+        trials=50,
+        seed=5,
+        variant=variant,
+        list_size=3,
+        oracle_check=True,
+        workers=2,
+    )
+    assert run_monte_carlo(config).oracle_disagreements == 50
 
 
 def test_chunk_size_follows_the_largest_per_trial_array():
