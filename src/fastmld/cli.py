@@ -166,9 +166,9 @@ def _cmd_syndrome_decode(args, parser) -> int:
     linear = read_linear_code_file(args.gen)
     parity_check = parity_check_from_generator(linear)
     syndrome_matrix, leaders = build_syndrome_matrix(linear, parity_check)
-    parse_channel = None
     status = 0
-    words = _received_words(args, parse_channel, 2)
+    words = _received_words(args, None, 2)
+    full = enumerate_codewords(linear) if args.oracle else None
     for i, received in enumerate(words):
         if i:
             print()
@@ -178,8 +178,7 @@ def _cmd_syndrome_decode(args, parser) -> int:
         print(f"leader_index {outcome.leader_index}")
         print(f"leader {_symbols_text(leaders[outcome.leader_index] + 1, 2)}")
         print(f"codeword {_symbols_text(outcome.codeword + 1, 2)}")
-        if args.oracle:
-            full = enumerate_codewords(linear)
+        if full is not None:
             _, reference_ties, _ = min_distance_decode(full, outcome.codeword + 1)
             match = (full.codewords == (outcome.codeword + 1)[None, :]).all(axis=1)
             decoded_index = int(np.flatnonzero(match)[0]) + 1

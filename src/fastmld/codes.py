@@ -10,6 +10,9 @@ binary words of length n-k scores syndromes.  Erasure decoding uses the bit
 layout of a binary code instead: one row per position, set where the bit
 is 1.  Every codebook is a ``CodebookMatrix`` with a factorization.
 
+Codebooks are factorized straight from the codewords' symbols and the
+layout's row map; the matrix itself is rebuilt only when read.
+
 Symbols are 1-based at every public boundary; all internal index
 arithmetic shifts to 0-based immediately on entry.
 """
@@ -50,7 +53,7 @@ class Code:
     n: int
     codewords: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, known_distinct: bool = False) -> None:
         if self.q < 2:
             msg = f"alphabet size q={self.q} must be at least 2"
             raise InvalidParams(msg)
@@ -70,11 +73,12 @@ class Code:
         if words.min() < 1 or words.max() > self.q:
             msg = f"symbols must lie in 1..{self.q}"
             raise SymbolOutOfRange(msg)
-        # Sorting on every column puts equal rows next to each other.
-        ordered = words[np.lexsort(words.T)]
-        if (ordered[1:] == ordered[:-1]).all(axis=1).any():
-            msg = "codewords must be distinct"
-            raise InvalidParams(msg)
+        if not known_distinct:
+            # Sorting on every column puts equal rows next to each other.
+            ordered = words[np.lexsort(words.T)]
+            if (ordered[1:] == ordered[:-1]).all(axis=1).any():
+                msg = "codewords must be distinct"
+                raise InvalidParams(msg)
         words.setflags(write=False)
         object.__setattr__(self, "codewords", words)
 
@@ -82,6 +86,14 @@ class Code:
     def size(self) -> int:
         """Number of codewords S."""
         return int(self.codewords.shape[0])
+
+    @classmethod
+    def _distinct(cls, q: int, n: int, codewords: np.ndarray) -> "Code":
+        """A code whose codewords are known to be distinct: every check but that one."""
+        code = object.__new__(cls)
+        code.__dict__.update(q=q, n=n, codewords=codewords)
+        code.__post_init__(known_distinct=True)
+        return code
 
 
 @dataclass(frozen=True)
@@ -120,7 +132,7 @@ class LinearCode:
 
 @dataclass(frozen=True)
 class CodebookMatrix:
-    """A code's binary scoring matrix plus its block factorization.
+    """A code's binary scoring matrix, held as its block factorization.
 
     Column j holds codeword j.  In the one-hot layout ``block_size`` is the
     width of each position's block (q, or q^(L+1) when L memory taps are
@@ -131,11 +143,15 @@ class CodebookMatrix:
 
     rows: int
     cols: int
-    matrix: BinaryMatrix
     factorization: MailmanFactorization
     block_size: int
     memory: int = 0
     initial_symbol: int = 1
+
+    @property
+    def matrix(self) -> BinaryMatrix:
+        """The packed matrix, rebuilt from the factorization on every read."""
+        return self.factorization.reconstruct()
 
 
 def _is_prime(q: int) -> bool:
@@ -153,14 +169,16 @@ def _row_reduce_mod_q(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]
     for c in range(cols):
         if r == rows:
             break
-        pivot = next((i for i in range(r, rows) if m[i, c] % q), None)
-        if pivot is None:
+        below = m[r:, c].tolist()
+        if not any(below):
             continue
+        pivot = r + next(i for i, value in enumerate(below) if value)
         m[[r, pivot]] = m[[pivot, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), q - 2, q)) % q
-        for i in range(rows):
-            if i != r and m[i, c]:
-                m[i] = (m[i] - m[i, c] * m[r]) % q
+        m[r] = (m[r] * pow(below[pivot - r], q - 2, q)) % q
+        # Clear the column in every other row at once.
+        factors = m[:, c].copy()
+        factors[r] = 0
+        m = (m - factors[:, None] * m[r]) % q
         pivots.append(c)
         r += 1
     return m, pivots
@@ -186,18 +204,28 @@ def enumerate_codewords(linear: LinearCode) -> Code:
     """All q^k codewords of a linear code, as 1-based symbols.
 
     Messages run in lexicographic order (first coordinate most
-    significant), so codeword j encodes the base-q expansion of j.
+    significant), so codeword j encodes the base-q expansion of j.  From the
+    last generator row up, each row g multiplies the table q-fold with no
+    multiplication: block a is block a - 1 plus g (mod q).  A full-rank
+    generator gives distinct codewords, so that check is skipped.
     """
     q, n, k = linear.q, linear.n, linear.k
     size = q**k
     if size > MAX_CODEWORDS:
         msg = f"q^k = {size} codewords exceed the cap of {MAX_CODEWORDS}"
         raise CapacityExceeded(msg)
-    indices = np.arange(size, dtype=np.int64)
-    powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    messages = (indices[:, None] // powers[None, :]) % q
-    words = (messages @ linear.generator) % q
-    return Code(q=q, n=n, codewords=words + 1)
+    # Unsigned, and wide enough for a sum of two field elements, 2(q-1).
+    words = np.zeros((size, n), dtype=np.min_scalar_type(2 * q - 2))
+    s = 1
+    for g in linear.generator[::-1].astype(words.dtype):
+        for a in range(1, q):
+            block = words[a * s : (a + 1) * s]
+            np.add(words[(a - 1) * s : a * s], g, out=block)
+            # Unsigned x - q wraps below zero, so min(x, x - q) = x mod q.
+            np.minimum(block, block - q, out=block)
+        s *= q
+    words += 1
+    return Code._distinct(q, n, words)
 
 
 def random_linear_code(q: int, n: int, k: int, seed: int) -> LinearCode:
@@ -243,48 +271,32 @@ def tuple_indices(
         [np.full(word.shape[:-1] + (memory,), initial_symbol - 1, dtype=np.int64), word - 1],
         axis=-1,
     )
-    windows = np.lib.stride_tricks.sliding_window_view(padded, memory + 1, axis=-1)
-    powers = q ** np.arange(memory + 1, dtype=np.int64)
-    return windows @ powers
-
-
-def incidence_vector_isi(
-    q: int, memory: int, codeword: np.ndarray, initial_symbol: int = 1
-) -> np.ndarray:
-    """One-hot encoding over symbol tuples; block width q^(memory+1)."""
-    if np.ndim(codeword) != 1:
-        msg = "a word must be a 1-d vector"
-        raise InvalidParams(msg)
-    idx = tuple_indices(q, memory, codeword, initial_symbol)
-    width = q ** (memory + 1)
-    out = np.zeros(idx.shape[0] * width, dtype=np.uint8)
-    out[np.arange(idx.shape[0]) * width + idx] = 1
-    return out
-
-
-def _one_hot(per_position: np.ndarray, block_size: int) -> np.ndarray:
-    """Dense (n*block_size) x S bits: column j sets row i*block_size + per_position[i, j]."""
-    n, size = per_position.shape
-    rows = n * block_size
-    if rows * size > MAX_MATRIX_BITS:
-        msg = f"codebook of {rows}x{size} bits exceeds the cap of {MAX_MATRIX_BITS}"
-        raise CapacityExceeded(msg)
-    dense = np.zeros((rows, size), dtype=np.uint8)
-    row_idx = np.arange(n)[:, None] * block_size + per_position
-    dense[row_idx, np.arange(size)[None, :]] = 1
-    return dense
+    index = padded[..., memory:]
+    for lag in range(1, memory + 1):  # Horner, down to the oldest predecessor
+        index = index * q + padded[..., memory - lag : padded.shape[-1] - lag]
+    return index
 
 
 def _codebook(
-    dense: np.ndarray, block_size: int, memory: int = 0, initial: int = 1
+    symbols: np.ndarray, first: int, block_size: int, memory: int = 0, initial: int = 1
 ) -> CodebookMatrix:
-    """Pack ``dense`` and factorize it for the fast product."""
-    matrix = BinaryMatrix.from_dense(dense)
+    """Factorize the codebook whose column j holds ``symbols[:, j]``, counted from ``first``.
+
+    One-hot layout: value first + v at position i sets row i*block_size + v.
+    Bit layout (``block_size`` 1): value first + 1 sets row i.
+    """
+    n, cols = symbols.shape
+    if n * block_size * cols > MAX_MATRIX_BITS:
+        msg = f"codebook of {n * block_size}x{cols} bits exceeds the cap of {MAX_MATRIX_BITS}"
+        raise CapacityExceeded(msg)
+    row_map = np.full((n, first + max(block_size, 2)), -1)
+    # In the bit layout value ``first`` sets no row.
+    row_map[:, first + (block_size == 1) :] = np.arange(n * block_size).reshape(n, block_size)
+    fact = factorize(symbols, row_map)
     return CodebookMatrix(
-        rows=matrix.rows,
-        cols=matrix.cols,
-        matrix=matrix,
-        factorization=factorize(matrix),
+        rows=fact.rows,
+        cols=fact.cols,
+        factorization=fact,
         block_size=block_size,
         memory=memory,
         initial_symbol=initial,
@@ -293,7 +305,7 @@ def _codebook(
 
 def build_codebook_matrix(code: Code) -> CodebookMatrix:
     """Codebook matrix for memoryless scoring: (n*q) x S, one 1 per position."""
-    return _codebook(_one_hot(code.codewords.T - 1, code.q), code.q)
+    return _codebook(code.codewords.T, 1, code.q)
 
 
 def build_codebook_matrix_isi(
@@ -301,8 +313,7 @@ def build_codebook_matrix_isi(
 ) -> CodebookMatrix:
     """Codebook matrix over symbol tuples for channels with ``memory`` taps."""
     idx = tuple_indices(code.q, memory, code.codewords, initial_symbol).T
-    width = code.q ** (memory + 1)
-    return _codebook(_one_hot(idx, width), width, memory, initial_symbol)
+    return _codebook(idx, 0, code.q ** (memory + 1), memory, initial_symbol)
 
 
 def build_bipolar_codebook(code: Code) -> CodebookMatrix:
@@ -310,7 +321,7 @@ def build_bipolar_codebook(code: Code) -> CodebookMatrix:
     if code.q != 2:
         msg = f"bipolar codebooks are defined for binary codes, got q={code.q}"
         raise NonBinaryCode(msg)
-    return _codebook((code.codewords.T == 2).astype(np.uint8), 1)
+    return _codebook(code.codewords.T, 1, 1)
 
 
 def parity_check_from_generator(linear: LinearCode) -> np.ndarray:
@@ -435,4 +446,4 @@ def build_syndrome_matrix(
     r = linear.n - linear.k
     shifts = np.arange(r - 1, -1, -1, dtype=np.int64)
     bits = (np.arange(2**r, dtype=np.int64)[None, :] >> shifts[:, None]) & 1
-    return _codebook(_one_hot(bits, 2), 2), leaders
+    return _codebook(bits, 0, 2), leaders

@@ -12,8 +12,10 @@ column -- no multiplications at all.  Summed over ``ceil(m/h)`` blocks the
 additions stay below ``4*m*S/log2(S) + 2*S + m`` for S >= 2, against
 ``m*S`` multiply-adds for the dense product.
 
-``vec_times_matrix`` is the one product every decoder runs;
-``vec_times_matrix_naive`` is the reference it is checked against.
+``factorize`` reads each column's pattern indices straight off the symbols
+the column holds, so a codebook is never built as bits; ``reconstruct``
+rebuilds them on demand.  ``vec_times_matrix`` is the one product every
+decoder runs; ``vec_times_matrix_naive`` is the reference it is checked against.
 
 Inputs may contain ``-inf`` (log of a zero probability).  The doubling
 recursion and the column gather only ever add, and no input holds ``+inf``,
@@ -51,6 +53,9 @@ MAX_MATRIX_BITS = 2**31
 
 # Column chunk budget (dense cells) used when unpacking big matrices.
 _DENSE_CHUNK_CELLS = 1 << 26
+
+# Positions x columns of one pattern-index gather in ``factorize``.
+_INDEX_CELLS = 1 << 14
 
 
 @dataclass
@@ -137,16 +142,10 @@ class MailmanFactorization:
         """Rebuild the exact matrix from the pattern indices."""
         dense = np.zeros((self.rows, self.cols), dtype=np.uint8)
         for block in self.blocks:
-            dense[block.row_offset : block.row_offset + block.height] = _pattern_bits(
-                block.correspondence, block.height
-            )
+            shifts = np.arange(block.height - 1, -1, -1)[:, None]
+            bits = (block.correspondence >> shifts) & 1
+            dense[block.row_offset : block.row_offset + block.height] = bits
         return BinaryMatrix.from_dense(dense)
-
-
-def _pattern_bits(correspondence: np.ndarray, height: int) -> np.ndarray:
-    """Expand pattern indices back into a (height, cols) bit array."""
-    shifts = np.arange(height - 1, -1, -1, dtype=np.int64)
-    return ((correspondence[None, :] >> shifts[:, None]) & 1).astype(np.uint8)
 
 
 def _block_heights(rows: int, cols: int) -> list[int]:
@@ -158,31 +157,55 @@ def _block_heights(rows: int, cols: int) -> list[int]:
     return heights
 
 
-def factorize(matrix: BinaryMatrix) -> MailmanFactorization:
-    """Split ``matrix`` into row blocks and record each column's pattern.
+def factorize(
+    symbols: np.ndarray | BinaryMatrix, row_map: np.ndarray | None = None
+) -> MailmanFactorization:
+    """Split a binary matrix into row blocks and record each column's pattern.
 
-    Every matrix factorizes: below four columns the blocks are one row high.
+    Column j holds value ``symbols[i, j]`` at position i, which sets row
+    ``row_map[i, value]`` (none where -1); without a row map the symbols are
+    the bits, row i set where position i holds 1, as for a ``BinaryMatrix``.
+    A block's pattern indices are one gather of per-(position, value) bits
+    summed over the positions with rows there (a position straddling a
+    boundary adds its part to both).  Below four columns blocks are one row high.
     """
-    if matrix.rows == 0:
-        return MailmanFactorization(rows=0, cols=matrix.cols, blocks=())
-    blocks: list[MailmanBlock] = []
-    offset = 0
-    chunk = max(1, _DENSE_CHUNK_CELLS // max(1, matrix.rows))
-    heights = _block_heights(matrix.rows, matrix.cols)
-    patterns = [np.empty(matrix.cols, dtype=np.int64) for _ in heights]
-    for start in range(0, matrix.cols, chunk):
-        stop = min(start + chunk, matrix.cols)
-        dense = np.unpackbits(matrix.bits[:, start:stop], axis=0, count=matrix.rows)
-        offset = 0
-        for i, h in enumerate(heights):
-            weights = 1 << np.arange(h - 1, -1, -1, dtype=np.int64)
-            patterns[i][start:stop] = weights @ dense[offset : offset + h]
-            offset += h
-    offset = 0
-    for i, h in enumerate(heights):
-        blocks.append(MailmanBlock(height=h, row_offset=offset, correspondence=patterns[i]))
-        offset += h
-    return MailmanFactorization(rows=matrix.rows, cols=matrix.cols, blocks=tuple(blocks))
+    symbols = np.asarray(symbols.to_dense() if isinstance(symbols, BinaryMatrix) else symbols)
+    positions = symbols.shape[0] if symbols.ndim == 2 else 0
+    if row_map is None:
+        row_map = np.column_stack((np.full(positions, -1), np.arange(positions)))
+    row_map = np.asarray(row_map, dtype=np.int64)
+    if symbols.ndim != 2 or symbols.shape[1] < 1 or row_map.shape[:1] != (positions,):
+        msg = f"symbols {symbols.shape} and row map {row_map.shape} are not (n, S >= 1), (n, width)"
+        raise InvalidParams(msg)
+    cols, width = symbols.shape[1], row_map.shape[1]
+    if symbols.size and (symbols.min() < 0 or symbols.max() >= width):
+        msg = f"symbols must lie in 0..{width - 1}, the row map's values"
+        raise InvalidParams(msg)
+    layout = row_map.ravel().tolist()
+    rows = max(layout, default=-1) + 1
+    heights = _block_heights(rows, cols) if rows else []
+    h = heights[0] if heights else 0
+    # tables[b][i*width + v]: the bit value v at position i sets in block b's
+    # pattern index (first row on top); block b sums positions lo[b]..hi[b]-1,
+    # the first to the last with rows in it (positions only grow with ``at``).
+    tables = [[0] * (positions * width) for _ in heights]
+    lo, hi = [positions] * len(heights), [0] * len(heights)
+    for at, row in enumerate(layout):
+        if row >= 0:
+            b, i = row // h, at // width
+            tables[b][at] = 1 << (b * h + heights[b] - 1 - row)
+            lo[b], hi[b] = min(lo[b], i), i + 1
+    tables = np.array(tables, dtype=np.int64)
+    offsets = np.arange(positions)[:, None] * width
+    patterns = np.empty((len(heights), cols), dtype=np.int64)
+    step = max(1, _INDEX_CELLS // max(1, positions))  # bounds the gather's temporaries
+    for start in range(0, cols, step):
+        index = np.add(symbols[:, start : start + step], offsets)
+        for b in range(len(heights)):
+            out = patterns[b, start : start + step]
+            np.add.reduce(tables[b].take(index[lo[b] : hi[b]]), axis=0, out=out)
+    blocks = tuple(MailmanBlock(height, b * h, patterns[b]) for b, height in enumerate(heights))
+    return MailmanFactorization(rows=rows, cols=cols, blocks=blocks)
 
 
 def vec_times_universal(weights: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from .channels import (
 )
 from .codes import (
     Code,
+    CodebookMatrix,
     LinearCode,
     build_bipolar_codebook,
     build_codebook_matrix,
@@ -165,21 +166,7 @@ class SimReport:
 
     def to_json(self) -> str:
         """Machine-readable form of the deterministic fields."""
-        payload = {
-            "variant": self.variant,
-            "trials": self.trials,
-            "seed": self.seed,
-            "workers": self.workers,
-            "error_rule": self.error_rule,
-            "word_errors": self.word_errors,
-            "frame_error_rate": self.frame_error_rate,
-            "symbol_error_rate": self.symbol_error_rate,
-            "tie_events": self.tie_events,
-            "analytic_fer": self.analytic_fer,
-            "oracle_checked": self.oracle_checked,
-            "oracle_disagreements": self.oracle_disagreements,
-            "mean_decode_additions": self.mean_decode_additions,
-        }
+        payload = {name: getattr(self, name) for name, _ in self._fields()}
         return json.dumps(payload)
 
 
@@ -315,7 +302,7 @@ def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, 
     variant = config.variant
     channel = config.channel
     scoring = structure[0] if variant == "syndrome" else structure
-    chunk = _chunk_trials(channel, code, scoring.matrix)
+    chunk = _chunk_trials(channel, code, scoring)
     tally = _Tally()
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
@@ -345,18 +332,18 @@ def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, 
     return tally
 
 
-def _chunk_trials(channel, code: Code, matrix: BinaryMatrix) -> int:
+def _chunk_trials(channel, code: Code, codebook: CodebookMatrix) -> int:
     """How many trials a chunk holds within ``_CHUNK_BYTES``.
 
     Each trial of a chunk keeps three arrays of 8-byte entries: its S
     scores (the product's tables and gathers are no larger), its likelihood
-    row of ``matrix.rows`` entries, and, for a categorical channel, an
+    row of ``codebook.rows`` entries, and, for a categorical channel, an
     ``(n, outputs)`` table of cumulative probabilities while sampling.  The
     largest of them sets the chunk, so a long code with few codewords gets
     small chunks too.  Below ``_MIN_BATCH`` trials a chunk holds one.
     """
     outputs = getattr(channel, "output_alphabet_size", 1)
-    cells = max(matrix.cols, matrix.rows, code.n * outputs)
+    cells = max(codebook.cols, codebook.rows, code.n * outputs)
     trials = _CHUNK_BYTES // (8 * cells)
     return trials if trials >= _MIN_BATCH else 1
 

@@ -2,7 +2,8 @@
 
 import numpy as np
 
-from fastmld import Code, DiscreteChannel, LinearCode
+from fastmld import BinaryMatrix, Code, DiscreteChannel, LinearCode, factorize
+from fastmld.mailman import _block_heights
 
 # Systematic [7,4] single-error-correcting generator.
 HAMMING_G = np.array(
@@ -60,3 +61,43 @@ def random_code(rng, q: int, n: int, size: int) -> Code:
     picks = rng.choice(q**n, size=size, replace=False)
     digits = picks[:, None] // q ** np.arange(n - 1, -1, -1) % q
     return Code(q=q, n=n, codewords=digits + 1)
+
+
+def dense_codebook(per_position: np.ndarray, block_size: int) -> np.ndarray:
+    """Reference codebook as a dense 0/1 matrix.
+
+    ``per_position[i, j]`` is column j's 0-based value at position i.  With
+    ``block_size`` 1 the values are the bits themselves (the bit layout);
+    otherwise value v at position i sets row i*block_size + v.
+    """
+    per_position = np.asarray(per_position)
+    if block_size == 1:
+        return per_position.astype(np.uint8)
+    n, size = per_position.shape
+    dense = np.zeros((n * block_size, size), dtype=np.uint8)
+    dense[np.arange(n)[:, None] * block_size + per_position, np.arange(size)[None, :]] = 1
+    return dense
+
+
+def patterns_by_matmul(dense: np.ndarray) -> list[tuple[int, int, np.ndarray]]:
+    """Reference (height, row offset, pattern indices) per row block: bit weights times the bits."""
+    rows, cols = dense.shape
+    blocks, offset = [], 0
+    for height in _block_heights(rows, cols) if rows else []:
+        weights = 1 << np.arange(height - 1, -1, -1, dtype=np.int64)
+        blocks.append((height, offset, weights @ dense[offset : offset + height].astype(np.int64)))
+        offset += height
+    return blocks
+
+
+def assert_factorization_of(fact, dense: np.ndarray) -> None:
+    """``fact`` factorizes ``dense``: it equals the packed matrix's factorization and bit weights @ bits."""
+    packed = factorize(BinaryMatrix.from_dense(dense))
+    assert (fact.rows, fact.cols) == (packed.rows, packed.cols) == dense.shape
+    expected = patterns_by_matmul(dense)
+    assert len(fact.blocks) == len(packed.blocks) == len(expected)
+    for got, via_bits, (height, offset, patterns) in zip(fact.blocks, packed.blocks, expected):
+        assert (got.height, got.row_offset) == (via_bits.height, via_bits.row_offset) == (height, offset)
+        assert got.correspondence.dtype == via_bits.correspondence.dtype == np.int64
+        np.testing.assert_array_equal(got.correspondence, via_bits.correspondence)
+        np.testing.assert_array_equal(got.correspondence, patterns)

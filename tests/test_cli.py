@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fastmld import enumerate_codewords
 from fastmld.cli import main
 from fastmld.fileio import write_code_file, write_linear_code_file
 
@@ -113,6 +114,25 @@ def test_syndrome_decode(rep3_file, capsys):
     assert "leader 001" in out
     assert "codeword 111" in out
     assert "oracle_match 1" in out
+
+
+def test_syndrome_decode_oracle_enumerates_the_code_once(hamming_file, tmp_path, capsys, monkeypatch):
+    import fastmld.cli as cli
+
+    calls = []
+
+    def counting(linear):
+        calls.append(linear)
+        return enumerate_codewords(linear)
+
+    monkeypatch.setattr(cli, "enumerate_codewords", counting)
+    rx = tmp_path / "words"
+    rx.write_text("1110000\n0000000\n1011010\n0100101\n")
+    assert main(["syndrome-decode", "--gen", hamming_file, "--rx-file", str(rx), "--oracle"]) == 0
+    out = lines_of(capsys)
+    assert sum(line.startswith("word ") for line in out) == 4
+    assert out.count("oracle_match 1") == 4
+    assert len(calls) == 1
 
 
 def test_isi_decode(toy_code_file, tmp_path, capsys):

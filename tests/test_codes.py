@@ -24,7 +24,16 @@ from fastmld import (
     tuple_indices,
 )
 
-from helpers import HAMMING_G, golay_code, hamming_code, random_code, rep3_code, toy_code
+from helpers import (
+    HAMMING_G,
+    assert_factorization_of,
+    dense_codebook,
+    golay_code,
+    hamming_code,
+    random_code,
+    rep3_code,
+    toy_code,
+)
 
 
 def test_code_validation():
@@ -100,6 +109,66 @@ def test_random_linear_code_is_deterministic_and_full_rank():
     assert codes_mod._rank_mod_q(c.generator, 3) == 4
 
 
+def _enumerate_by_matmul(linear):
+    """Reference: every message, in lexicographic order, times the generator."""
+    q, k = linear.q, linear.k
+    powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    messages = (np.arange(q**k, dtype=np.int64)[:, None] // powers) % q
+    return (messages @ linear.generator) % q + 1
+
+
+@pytest.mark.parametrize(
+    "q,n,k,seed",
+    [(2, 7, 4, 0), (2, 9, 1, 1), (2, 6, 6, 2), (2, 23, 12, 3), (3, 6, 1, 4), (3, 5, 5, 5),
+     (3, 12, 7, 6), (5, 4, 1, 7), (5, 4, 4, 8), (5, 8, 4, 9), (7, 3, 2, 10)],
+)
+def test_enumeration_matches_the_matmul_reference(q, n, k, seed):
+    linear = random_linear_code(q, n, k, seed)
+    code = enumerate_codewords(linear)
+    assert (code.q, code.n, code.size) == (q, n, q**k)
+    assert code.codewords.dtype == np.int64 and not code.codewords.flags.writeable
+    np.testing.assert_array_equal(code.codewords, _enumerate_by_matmul(linear))
+
+
+def _row_reduce_by_rows(matrix, q):
+    """Reference: Gauss-Jordan elimination one row at a time."""
+    m = matrix.astype(np.int64) % q
+    rows, cols = m.shape
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if m[i, c] % q), None)
+        if pivot is None:
+            continue
+        m[[r, pivot]] = m[[pivot, r]]
+        m[r] = (m[r] * pow(int(m[r, c]), q - 2, q)) % q
+        for i in range(rows):
+            if i != r and m[i, c]:
+                m[i] = (m[i] - m[i, c] * m[r]) % q
+        pivots.append(c)
+        r += 1
+    return m, pivots
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_row_reduction_matches_the_row_by_row_reference(q):
+    rng = np.random.default_rng(q)
+    for shape in ((4, 7), (7, 4), (6, 6), (1, 5), (5, 1), (10, 23), (23, 10)):
+        for trial in range(12):
+            matrix = rng.integers(0, q, size=shape)
+            if trial % 3 == 1 and shape[0] > 1:
+                # Rank-deficient: one row a combination of two others.
+                matrix[-1] = (2 * matrix[0] + matrix[min(1, shape[0] - 1)]) % q
+            if trial == 11:
+                matrix[:] = 0
+            rref, pivots = codes_mod._row_reduce_mod_q(matrix, q)
+            expected_rref, expected_pivots = _row_reduce_by_rows(matrix, q)
+            np.testing.assert_array_equal(rref, expected_rref)
+            assert pivots == expected_pivots
+
+
 def test_incidence_vector_stacks_one_hot_symbols():
     vec = incidence_vector(2, np.array([1, 1, 2]))
     np.testing.assert_array_equal(vec, [1, 0, 1, 0, 0, 1])
@@ -169,9 +238,14 @@ def test_tuple_indices_of_stacked_words_match_per_word_stack():
             np.testing.assert_array_equal(
                 tuple_indices(q, memory, stacked, initial), per_word.reshape(stacked.shape)
             )
-            dense = build_codebook_matrix_isi(code, memory, initial).matrix.to_dense()
-            columns = [codes_mod.incidence_vector_isi(q, memory, w, initial) for w in code.codewords]
-            np.testing.assert_array_equal(dense, np.stack(columns, axis=1))
+            # Reference: each tuple's base-q digits times their place values.
+            padded = np.concatenate([np.full((code.size, memory), initial - 1), code.codewords - 1], axis=1)
+            windows = np.lib.stride_tricks.sliding_window_view(padded, memory + 1, axis=1)
+            np.testing.assert_array_equal(per_word, windows @ q ** np.arange(memory + 1))
+            codebook = build_codebook_matrix_isi(code, memory, initial)
+            dense = dense_codebook(per_word.T, q ** (memory + 1))
+            np.testing.assert_array_equal(codebook.matrix.to_dense(), dense)
+            assert_factorization_of(codebook.factorization, dense)
 
 
 def test_isi_codebook_columns():

@@ -321,8 +321,9 @@ def test_syndrome_decode_flags_missing_zero_coset():
     # the zero-distance assertion must turn that into a loud error.
     dense = syndrome_matrix.matrix.to_dense()
     dense[1, 1] ^= 1  # column 1 (syndrome 01) now also marks bit 0 = 1
-    matrix = BinaryMatrix.from_dense(dense)
-    broken = dataclasses.replace(syndrome_matrix, matrix=matrix, factorization=factorize(matrix))
+    broken = dataclasses.replace(
+        syndrome_matrix, factorization=factorize(BinaryMatrix.from_dense(dense))
+    )
     with pytest.raises(NoZeroDistanceCoset):
         syndrome_decode(linear, leaders, broken, np.array([1, 1, 0]))
 

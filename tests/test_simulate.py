@@ -6,7 +6,6 @@ import pytest
 
 import fastmld.simulate as simulate
 from fastmld import (
-    BinaryMatrix,
     Code,
     ContinuousChannel,
     DiscreteChannel,
@@ -312,11 +311,11 @@ def test_chunk_size_follows_the_largest_per_trial_array():
     code = Code(q=2, n=2000, codewords=np.array([[1] * 2000, [2] * 2000]))
     channel = DiscreteChannel.bsc(0.1)
     codebook = build_codebook_matrix(code)
-    chunk = simulate._chunk_trials(channel, code, codebook.matrix)
+    chunk = simulate._chunk_trials(channel, code, codebook)
     assert chunk == simulate._CHUNK_BYTES // (8 * 4000)
     config = SimConfig(code_source=code, channel=channel, trials=300, seed=3)
     assert run_monte_carlo(config).word_errors == 0
     # Wide score rows: 8 trials at S = 2^14, then too few to batch.
     for cols, expected in ((1 << 14, 8), (1 << 15, 1), (1 << 24, 1)):
-        matrix = BinaryMatrix(rows=6, cols=cols, bits=np.zeros(0, dtype=np.uint8))
-        assert simulate._chunk_trials(channel, toy_code(), matrix) == expected
+        shaped = dataclasses.replace(codebook, rows=6, cols=cols)
+        assert simulate._chunk_trials(channel, toy_code(), shaped) == expected
