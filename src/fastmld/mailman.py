@@ -54,8 +54,11 @@ MAX_MATRIX_BITS = 2**31
 # Column chunk budget (dense cells) used when unpacking big matrices.
 _DENSE_CHUNK_CELLS = 1 << 26
 
-# Positions x columns of one pattern-index gather in ``factorize``.
-_INDEX_CELLS = 1 << 14
+# Positions x columns of one chunk in ``factorize`` (256 KiB of int64 gather
+# index).  Timed on Golay and random [40, 16..20] builds: 2^16 doubled the
+# Golay bit-layout build (codewords are read down their columns), 2^13-2^14
+# were up to 1.4x slower at S >= 2^18.  Near the cap this is 2^15 chunks.
+_INDEX_CELLS = 1 << 15
 
 
 @dataclass
@@ -158,54 +161,77 @@ def _block_heights(rows: int, cols: int) -> list[int]:
 
 
 def factorize(
-    symbols: np.ndarray | BinaryMatrix, row_map: np.ndarray | None = None
+    source: BinaryMatrix | np.ndarray, row_map: np.ndarray | None = None
 ) -> MailmanFactorization:
     """Split a binary matrix into row blocks and record each column's pattern.
 
-    Column j holds value ``symbols[i, j]`` at position i, which sets row
-    ``row_map[i, value]`` (none where -1); without a row map the symbols are
-    the bits, row i set where position i holds 1, as for a ``BinaryMatrix``.
-    A block's pattern indices are one gather of per-(position, value) bits
-    summed over the positions with rows there (a position straddling a
-    boundary adds its part to both).  Below four columns blocks are one row high.
+    Column j holds value ``source[i, j]`` at position i, which sets row
+    ``row_map[i, value]`` (none where -1); rows are numbered 0, 1, 2, ...
+    in (position, value) order.  A ``BinaryMatrix`` is the bit layout of
+    its own rows, unpacked a column chunk at a time.  Each block sums a
+    gather of the bits its own positions' values set (a position that
+    straddles a boundary adds its part to both blocks).  Below four
+    columns blocks are one row high.
     """
-    symbols = np.asarray(symbols.to_dense() if isinstance(symbols, BinaryMatrix) else symbols)
-    positions = symbols.shape[0] if symbols.ndim == 2 else 0
-    if row_map is None:
-        row_map = np.column_stack((np.full(positions, -1), np.arange(positions)))
-    row_map = np.asarray(row_map, dtype=np.int64)
-    if symbols.ndim != 2 or symbols.shape[1] < 1 or row_map.shape[:1] != (positions,):
-        msg = f"symbols {symbols.shape} and row map {row_map.shape} are not (n, S >= 1), (n, width)"
-        raise InvalidParams(msg)
-    cols, width = symbols.shape[1], row_map.shape[1]
-    if symbols.size and (symbols.min() < 0 or symbols.max() >= width):
-        msg = f"symbols must lie in 0..{width - 1}, the row map's values"
-        raise InvalidParams(msg)
+    if isinstance(source, BinaryMatrix):
+        cols = source.cols
+        row_map = np.column_stack((np.full(source.rows, -1), np.arange(source.rows)))
+
+        def columns(start: int, stop: int) -> np.ndarray:
+            return np.unpackbits(source.bits[:, start:stop], axis=0, count=source.rows)
+    else:
+        symbols = np.asarray(source)
+        row_map = np.asarray(() if row_map is None else row_map, dtype=np.int64)
+        if symbols.ndim != 2 or row_map.ndim != 2 or len(row_map) != len(symbols) or (
+            symbols.shape[1] < 1
+            or symbols.size and not 0 <= symbols.min() <= symbols.max() < row_map.shape[1]
+        ):
+            msg = (
+                f"need (n, S >= 1) symbols, each below the width of an (n, width) row map;"
+                f" got {symbols.shape} and {row_map.shape}"
+            )
+            raise InvalidParams(msg)
+        cols = symbols.shape[1]
+
+        def columns(start: int, stop: int) -> np.ndarray:
+            return symbols[:, start:stop]
+    positions, width = row_map.shape
     layout = row_map.ravel().tolist()
-    rows = max(layout, default=-1) + 1
-    heights = _block_heights(rows, cols) if rows else []
-    h = heights[0] if heights else 0
-    # tables[b][i*width + v]: the bit value v at position i sets in block b's
-    # pattern index (first row on top); block b sums positions lo[b]..hi[b]-1,
-    # the first to the last with rows in it (positions only grow with ``at``).
-    tables = [[0] * (positions * width) for _ in heights]
-    lo, hi = [positions] * len(heights), [0] * len(heights)
-    for at, row in enumerate(layout):
-        if row >= 0:
-            b, i = row // h, at // width
-            tables[b][at] = 1 << (b * h + heights[b] - 1 - row)
-            lo[b], hi[b] = min(lo[b], i), i + 1
-    tables = np.array(tables, dtype=np.int64)
+    entry = [at for at, row in enumerate(layout) if row >= 0]  # row r is set by entry i*width + v
+    if [row for row in layout if row >= 0] != list(range(len(entry))):
+        msg = "the row map must number its rows 0, 1, 2, ... in (position, value) order"
+        raise InvalidParams(msg)
+    heights = _block_heights(len(entry), cols) if entry else []
+    h = heights[0] if heights else 1
+    # Block b's rows lie in positions lo[b]..hi[b]-1.  Its table holds, for
+    # each (i, v) there, the bit v sets in the pattern index (first row on
+    # top), or 0 where that bit is another block's.  The tables sit back to
+    # back in ``flat``; block b reads its own through a view that starts
+    # width*lo[b] entries early, so entry i*width + v addresses it directly
+    # (``pad`` keeps every start >= 0).
+    lo, hi, starts, flat = [], [], [], []
+    for b, height in enumerate(heights):
+        block_entries = entry[b * h : b * h + height]
+        lo.append(block_entries[0] // width)
+        hi.append(block_entries[-1] // width + 1)
+        starts.append(len(flat) - width * lo[b])
+        table = [0] * (width * (hi[b] - lo[b]))
+        for j, at in enumerate(block_entries, 1):
+            table[at - width * lo[b]] = 1 << (height - j)
+        flat += table
+    pad = max(0, -min(starts, default=0))
+    flat = np.array([0] * pad + flat, dtype=np.int64)
+    tables = [flat[pad + start :] for start in starts]
     offsets = np.arange(positions)[:, None] * width
     patterns = np.empty((len(heights), cols), dtype=np.int64)
-    step = max(1, _INDEX_CELLS // max(1, positions))  # bounds the gather's temporaries
-    for start in range(0, cols, step):
-        index = np.add(symbols[:, start : start + step], offsets)
-        for b in range(len(heights)):
+    step = max(1, _INDEX_CELLS // max(1, positions))  # bounds each chunk's temporaries
+    for start in range(0, cols if heights else 0, step):
+        index = np.add(columns(start, start + step), offsets)
+        for b, table in enumerate(tables):
             out = patterns[b, start : start + step]
-            np.add.reduce(tables[b].take(index[lo[b] : hi[b]]), axis=0, out=out)
+            np.add.reduce(table.take(index[lo[b] : hi[b]]), axis=0, out=out)
     blocks = tuple(MailmanBlock(height, b * h, patterns[b]) for b, height in enumerate(heights))
-    return MailmanFactorization(rows=rows, cols=cols, blocks=blocks)
+    return MailmanFactorization(rows=len(entry), cols=cols, blocks=blocks)
 
 
 def vec_times_universal(weights: np.ndarray) -> np.ndarray:

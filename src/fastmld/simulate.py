@@ -166,7 +166,21 @@ class SimReport:
 
     def to_json(self) -> str:
         """Machine-readable form of the deterministic fields."""
-        payload = {name: getattr(self, name) for name, _ in self._fields()}
+        payload = {
+            "variant": self.variant,
+            "trials": self.trials,
+            "seed": self.seed,
+            "workers": self.workers,
+            "error_rule": self.error_rule,
+            "word_errors": self.word_errors,
+            "frame_error_rate": self.frame_error_rate,
+            "symbol_error_rate": self.symbol_error_rate,
+            "tie_events": self.tie_events,
+            "analytic_fer": self.analytic_fer,
+            "oracle_checked": self.oracle_checked,
+            "oracle_disagreements": self.oracle_disagreements,
+            "mean_decode_additions": self.mean_decode_additions,
+        }
         return json.dumps(payload)
 
 

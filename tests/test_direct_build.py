@@ -9,6 +9,8 @@ apart from ``test_codes.py`` because the property test needs
 ``hypothesis``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +21,7 @@ import fastmld.mailman as mailman
 from fastmld import (
     BinaryMatrix,
     CapacityExceeded,
+    Code,
     DiscreteChannel,
     ErasureChannel,
     InvalidParams,
@@ -101,13 +104,55 @@ def test_factorize_takes_symbols_and_a_row_map():
     dense = np.array([[1, 0, 0], [0, 1, 1], [1, 0, 1]], dtype=np.uint8)
     assert_factorization_of(fact, dense)
     np.testing.assert_array_equal(fact.reconstruct().to_dense(), dense)
-    # Without a row map the symbols are the bits.
-    assert_factorization_of(factorize(dense), dense)
-    for bad in (symbols[0], symbols[:, :0], symbols + 1):
+    # A packed matrix is the bit layout of its own rows; raw bits need a row map.
+    assert_factorization_of(factorize(BinaryMatrix.from_dense(dense)), dense)
+    for bad in (symbols[0], symbols[0, 0], symbols[:, :0], symbols + 1, symbols - 1):
         with pytest.raises(InvalidParams):
             factorize(bad, row_map)
-    with pytest.raises(InvalidParams):
-        factorize(symbols, row_map[:1])
+    for bad_map in (None, row_map[:1], row_map[:, 0], [[1, 0], [-1, 2]], [[0, 2], [-1, 3]]):
+        with pytest.raises(InvalidParams):
+            factorize(symbols, bad_map)
+    # Position 0 sets no row, so the first block's table starts at position 1.
+    dense = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    assert_factorization_of(factorize(np.array([[0, 1], [1, 0]]), [[-1, -1], [0, 1]]), dense)
+
+
+def test_a_long_code_with_few_codewords_factorizes_in_little_memory():
+    # n = 2000, S = 2: blocks are one row high, so there are as many blocks
+    # as rows (4000 one-hot).  Each block's table covers only its own
+    # position, so the build stays far below rows x blocks entries.
+    n = 2000
+    code = Code(q=2, n=n, codewords=np.array([[1] * n, [2] * n]))
+    tracemalloc.start()
+    try:
+        one_hot = build_codebook_matrix(code)
+        bits = build_bipolar_codebook(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+    assert len(one_hot.factorization.blocks) == 2 * n
+    assert_factorization_of(one_hot.factorization, dense_codebook(code.codewords.T - 1, 2))
+    assert_factorization_of(bits.factorization, dense_codebook(code.codewords.T - 1, 1))
+
+
+def test_a_packed_matrix_is_unpacked_a_column_chunk_at_a_time(monkeypatch):
+    rng = np.random.default_rng(7)
+    dense = (rng.random((37, 300)) < 0.5).astype(np.uint8)
+    matrix = BinaryMatrix.from_dense(dense)
+    widths = []
+    unpack = np.unpackbits
+
+    def counting(bits, *args, **kwargs):
+        widths.append(bits.shape[1])
+        return unpack(bits, *args, **kwargs)
+
+    monkeypatch.setattr(mailman, "_INDEX_CELLS", 37 * 64)
+    monkeypatch.setattr(np, "unpackbits", counting)
+    fact = factorize(matrix)
+    assert widths == [64, 64, 64, 64, 44]
+    monkeypatch.undo()
+    assert_factorization_of(fact, dense)
 
 
 @pytest.mark.parametrize(
