@@ -52,6 +52,22 @@ def _log_table(probabilities: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return logs
 
 
+def _checked_log_transition(log_transition, rows: int, cols: int) -> np.ndarray:
+    """A read-only ``(rows, cols)`` table of log P(y|x), each row exponentiating to 1."""
+    table = np.asarray(log_transition, dtype=np.float64)
+    if table.shape != (rows, cols):
+        msg = f"log_transition must be ({rows}, {cols}), got {table.shape}"
+        raise InvalidParams(msg)
+    if np.isnan(table).any() or (table == np.inf).any():
+        msg = "log probabilities must be real or -inf"
+        raise InvalidParams(msg)
+    if not np.allclose(np.exp(table).sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
+        msg = "each transition row must exponentiate to probability 1"
+        raise InvalidParams(msg)
+    table.setflags(write=False)
+    return table
+
+
 @dataclass(frozen=True)
 class DiscreteChannel:
     """Memoryless channel over finite alphabets, stored as log P(y|x).
@@ -68,20 +84,7 @@ class DiscreteChannel:
         if self.q < 2 or self.output_alphabet_size < 1:
             msg = "need q >= 2 input symbols and at least one output symbol"
             raise InvalidParams(msg)
-        table = np.asarray(self.log_transition, dtype=np.float64)
-        if table.shape != (self.q, self.output_alphabet_size):
-            msg = (
-                f"log_transition must be ({self.q}, {self.output_alphabet_size}),"
-                f" got {table.shape}"
-            )
-            raise InvalidParams(msg)
-        if np.isnan(table).any() or (table == np.inf).any():
-            msg = "log probabilities must be real or -inf"
-            raise InvalidParams(msg)
-        if not np.allclose(np.exp(table).sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
-            msg = "each transition row must exponentiate to probability 1"
-            raise InvalidParams(msg)
-        table.setflags(write=False)
+        table = _checked_log_transition(self.log_transition, self.q, self.output_alphabet_size)
         object.__setattr__(self, "log_transition", table)
 
     @classmethod
@@ -250,20 +253,7 @@ class IsiChannel:
             msg = f"initial symbol {self.initial_symbol} must lie in 1..{self.q}"
             raise SymbolOutOfRange(msg)
         rows = self.q ** (self.memory + 1)
-        table = np.asarray(self.log_transition, dtype=np.float64)
-        if table.shape != (rows, self.output_alphabet_size):
-            msg = (
-                f"log_transition must be ({rows}, {self.output_alphabet_size}),"
-                f" got {table.shape}"
-            )
-            raise InvalidParams(msg)
-        if np.isnan(table).any() or (table == np.inf).any():
-            msg = "log probabilities must be real or -inf"
-            raise InvalidParams(msg)
-        if not np.allclose(np.exp(table).sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
-            msg = "each transition row must exponentiate to probability 1"
-            raise InvalidParams(msg)
-        table.setflags(write=False)
+        table = _checked_log_transition(self.log_transition, rows, self.output_alphabet_size)
         object.__setattr__(self, "log_transition", table)
 
     @property

@@ -1,9 +1,15 @@
 """Command-line front end.
 
 One subcommand per decoding mode plus simulation, benchmarking, code
-generation, and inspection.  Results print as line-oriented records; exit
-status is 0 on success, 1 for decode-domain failures (malformed files,
-out-of-range values, oracle mismatches), and 2 for usage errors.
+generation, and inspection.  The five decode commands share one handler
+that runs the simulation's variant path: ``simulate._prepare`` builds the
+variant's structure once, the received words decode a chunk at a time
+through ``simulate._decode_chunk`` (chunks sized by
+``simulate._chunk_trials``), and ``--oracle`` checks each chunk with
+``simulate._oracle_agreement``.  Results print as one line-oriented record
+per word; exit status is 0 on success, 1 for decode-domain failures
+(malformed files, out-of-range values, oracle mismatches), and 2 for usage
+errors.
 """
 
 from __future__ import annotations
@@ -13,26 +19,10 @@ import sys
 
 import numpy as np
 
-from .channels import ErasureChannel, IsiChannel
-from .codes import (
-    Code,
-    LinearCode,
-    build_bipolar_codebook,
-    build_codebook_matrix,
-    build_codebook_matrix_isi,
-    build_syndrome_matrix,
-    enumerate_codewords,
-    parity_check_from_generator,
-    random_linear_code,
-)
-from .decoder import (
-    erasure_decode,
-    isi_ml_decode,
-    list_decode,
-    ml_decode,
-    syndrome_decode,
-)
-from .errors import FastmldError, InvalidParams
+from . import simulate
+from .channels import DiscreteChannel, ErasureChannel, ErasureObservation
+from .codes import Code, LinearCode, build_codebook_matrix, random_linear_code
+from .errors import DimensionMismatch, FastmldError, InvalidParams
 from .fileio import (
     parse_channel_spec,
     parse_received_word,
@@ -41,13 +31,18 @@ from .fileio import (
     read_observations,
     write_linear_code_file,
 )
-from .oracle import esd_decode, esd_decode_isi, min_distance_decode, ranking_equivalent
 from .simulate import RandomCodeSpec, SimConfig, bench_multiply, run_monte_carlo
 
+#: The channel that erasure and syndrome decoding read words through, as
+#: those commands take no --channel.
+_WORD_CHANNELS = {
+    "erasure": ErasureChannel(erasure_probability=0.0),
+    "syndrome": DiscreteChannel.bsc(0.0),
+}
 
-def _add_code_arguments(parser: argparse.ArgumentParser, generator_only: bool = False) -> None:
-    if not generator_only:
-        parser.add_argument("--code", metavar="FILE", help="codebook file (q n S header)")
+
+def _add_code_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--code", metavar="FILE", help="codebook file (q n S header)")
     parser.add_argument(
         "--gen", metavar="FILE", help="generator file (q n k header); codewords are enumerated"
     )
@@ -59,13 +54,19 @@ def _add_received_arguments(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--rx-file", metavar="FILE", help="received words, one per line")
 
 
-def _resolve_code(args, parser) -> Code:
-    picked = [flag for flag in ("code", "gen") if getattr(args, flag, None)]
+def _code_source(args, parser) -> Code | LinearCode | RandomCodeSpec:
+    """The code named by the one code flag given: --code, --gen or --random-code."""
+    offered = [flag for flag in ("code", "gen", "random_code") if hasattr(args, flag)]
+    picked = [flag for flag in offered if getattr(args, flag)]
     if len(picked) != 1:
-        parser.error("exactly one of --code or --gen is required")
-    if picked[0] == "code":
-        return read_code_file(args.code)
-    return enumerate_codewords(read_linear_code_file(args.gen))
+        names = [f"--{flag.replace('_', '-')}" for flag in offered]
+        comma = "," if len(names) > 2 else ""
+        parser.error(f"exactly one of {', '.join(names[:-1])}{comma} or {names[-1]} is required")
+    if picked == ["random_code"]:
+        return _parse_random_code(args.random_code)
+    if picked == ["gen"]:
+        return read_linear_code_file(args.gen)
+    return read_code_file(args.code)
 
 
 def _received_words(args, channel, q: int) -> list:
@@ -88,122 +89,92 @@ def _symbols_text(symbols: np.ndarray, q: int | None) -> str:
     return " ".join(str(int(s)) for s in symbols)
 
 
-def _print_result(received, result, q: int) -> None:
-    print(f"word {_word_text(received, q)}")
-    print(f"best_index {result.best_index}")
-    print(f"best_score {result.best_score!r}")
-    print("ties " + " ".join(str(t) for t in result.ties))
-    print("scores " + " ".join(repr(float(s)) for s in result.scores))
-    print(f"codeword {_symbols_text(result.best_codeword, q)}")
-    if result.implausible:
-        print("implausible 1")
+def _indices_text(mask: np.ndarray) -> str:
+    return " ".join(str(j + 1) for j in np.flatnonzero(mask))
 
 
-def _check_oracle(fast_ties, reference_ties) -> int:
-    print("oracle_ties " + " ".join(str(t) for t in reference_ties))
-    match = tuple(fast_ties) == tuple(reference_ties)
-    print(f"oracle_match {int(match)}")
-    return 0 if match else 1
+def _record(variant: str, result, row: int, structure, q: int) -> list[str]:
+    """Lines of word ``row``'s record, from a chunk's batched result."""
+    if variant == "list":
+        ranked = enumerate(zip(result.indices[row], result.scores[row]), start=1)
+        return [f"rank {rank} index {index} score {float(score)!r}" for rank, (index, score) in ranked]
+    if variant == "syndrome":
+        leader = result.leader_index[row]
+        return [
+            f"leader_index {leader}",
+            f"leader {_symbols_text(structure[1][leader] + 1, 2)}",
+            f"codeword {_symbols_text(result.codeword[row] + 1, 2)}",
+        ]
+    lines = [
+        f"best_index {result.best_index[row]}",
+        f"best_score {float(result.best_score[row])!r}",
+        "ties " + _indices_text(result.ties[row]),
+        "scores " + " ".join(repr(float(s)) for s in result.scores[row]),
+        f"codeword {_symbols_text(result.best_codeword[row], q)}",
+    ]
+    if result.implausible[row]:
+        lines.append("implausible 1")
+    return lines
+
+
+def _stack(words: list, n: int):
+    """A chunk of received words as one ``(B, n)`` batch."""
+    rows = [getattr(word, "values", word) for word in words]
+    for row in rows:
+        if row.shape != (n,):
+            msg = f"observation of length {row.shape[0]} does not match n={n}"
+            raise DimensionMismatch(msg)
+    if isinstance(words[0], ErasureObservation):
+        return ErasureObservation(values=np.stack(rows))
+    return np.stack(rows)
 
 
 def _cmd_decode(args, parser) -> int:
-    code = _resolve_code(args, parser)
-    channel = parse_channel_spec(args.channel)
-    codebook = build_codebook_matrix(code)
+    """Every decode command: its words decode a chunk at a time through the simulation's path."""
+    variant = args.variant
+    source = _code_source(args, parser)
+    # Syndrome decoding needs only the generator; its oracle needs the codewords.
+    if variant == "syndrome" and not args.oracle:
+        code, linear = None, source
+    else:
+        code, linear = simulate._resolve_code(source)
+    shape = linear if code is None else code
+    channel = _WORD_CHANNELS.get(variant) or parse_channel_spec(args.channel)
+    structure = simulate._prepare(variant, code, linear, channel)
+    words = _received_words(args, channel, shape.q)
+    config = SimConfig(
+        code_source=source,
+        channel=channel,
+        trials=len(words),
+        seed=0,
+        variant=variant,
+        list_size=getattr(args, "list_size", 1),
+        tie_tolerance=getattr(args, "tie_tol", 0.0),
+        oracle_check=args.oracle,
+    )
+    chunk = simulate._chunk_trials(channel, shape, structure)
     status = 0
-    for i, received in enumerate(_received_words(args, channel, code.q)):
-        if i:
-            print()
-        result = ml_decode(codebook, code, channel, received, args.tie_tol)
-        _print_result(received, result, code.q)
+    for start in range(0, len(words), chunk):
+        batch = words[start : start + chunk]
+        observation = _stack(batch, shape.n)
+        result = simulate._decode_chunk(config, code, linear, structure, observation, None)
         if args.oracle:
-            reference = esd_decode(code, channel, received, args.tie_tol)
-            status |= _check_oracle(result.ties, reference.ties)
-    return status
-
-
-def _cmd_list_decode(args, parser) -> int:
-    code = _resolve_code(args, parser)
-    channel = parse_channel_spec(args.channel)
-    codebook = build_codebook_matrix(code)
-    status = 0
-    for i, received in enumerate(_received_words(args, channel, code.q)):
-        if i:
-            print()
-        listed = list_decode(codebook, code, channel, received, args.list_size)
-        print(f"word {_word_text(received, code.q)}")
-        for rank, (index, score) in enumerate(listed.entries, start=1):
-            print(f"rank {rank} index {index} score {score!r}")
-        if args.oracle:
-            reference = esd_decode(code, channel, received)
-            order = np.lexsort((np.arange(code.size), -reference.scores))
-            expected = tuple(int(j) + 1 for j in order[: args.list_size])
-            print("oracle_indices " + " ".join(str(t) for t in expected))
-            match = ranking_equivalent(reference.scores, listed.indices, expected)
-            print(f"oracle_match {int(match)}")
-            status |= 0 if match else 1
-    return status
-
-
-def _cmd_erasure_decode(args, parser) -> int:
-    code = _resolve_code(args, parser)
-    bipolar = build_bipolar_codebook(code)
-    status = 0
-    parse_channel = ErasureChannel(erasure_probability=0.0)
-    for i, received in enumerate(_received_words(args, parse_channel, code.q)):
-        if i:
-            print()
-        result = erasure_decode(bipolar, code, received, args.tie_tol)
-        _print_result(received, result, code.q)
-        print(f"erasures {received.erasure_count}")
-        if args.oracle:
-            _, reference_ties, _ = min_distance_decode(code, received)
-            status |= _check_oracle(result.ties, reference_ties)
-    return status
-
-
-def _cmd_syndrome_decode(args, parser) -> int:
-    linear = read_linear_code_file(args.gen)
-    parity_check = parity_check_from_generator(linear)
-    syndrome_matrix, leaders = build_syndrome_matrix(linear, parity_check)
-    status = 0
-    words = _received_words(args, None, 2)
-    full = enumerate_codewords(linear) if args.oracle else None
-    for i, received in enumerate(words):
-        if i:
-            print()
-        bits = np.asarray(received, dtype=np.int64) - 1
-        outcome = syndrome_decode(linear, leaders, syndrome_matrix, bits, parity_check=parity_check)
-        print(f"word {_symbols_text(received, 2)}")
-        print(f"leader_index {outcome.leader_index}")
-        print(f"leader {_symbols_text(leaders[outcome.leader_index] + 1, 2)}")
-        print(f"codeword {_symbols_text(outcome.codeword + 1, 2)}")
-        if full is not None:
-            _, reference_ties, _ = min_distance_decode(full, outcome.codeword + 1)
-            match = (full.codewords == (outcome.codeword + 1)[None, :]).all(axis=1)
-            decoded_index = int(np.flatnonzero(match)[0]) + 1
-            print("oracle_ties " + " ".join(str(t) for t in reference_ties))
-            print(f"oracle_match {int(decoded_index in reference_ties)}")
-            status |= 0 if decoded_index in reference_ties else 1
-    return status
-
-
-def _cmd_isi_decode(args, parser) -> int:
-    code = _resolve_code(args, parser)
-    channel = parse_channel_spec(args.channel)
-    if not isinstance(channel, IsiChannel):
-        msg = "isi-decode needs an isi-dmc channel file"
-        raise InvalidParams(msg)
-    codebook = build_codebook_matrix_isi(code, channel.memory, channel.initial_symbol)
-    status = 0
-    for i, received in enumerate(_received_words(args, channel, code.q)):
-        if i:
-            print()
-        result = isi_ml_decode(codebook, code, channel, received, args.tie_tol)
-        _print_result(received, result, code.q)
-        if args.oracle:
-            reference = esd_decode_isi(code, channel, received, args.tie_tol)
-            status |= _check_oracle(result.ties, reference.ties)
+            agree, reference = simulate._oracle_agreement(config, code, observation, result)
+            status |= int(not agree.all())
+        for row, received in enumerate(batch):
+            if start + row:
+                print()
+            print(f"word {_word_text(received, shape.q)}")
+            for line in _record(variant, result, row, structure, shape.q):
+                print(line)
+            if variant == "erasure":
+                print(f"erasures {received.erasure_count}")
+            if args.oracle:
+                if variant == "list":
+                    print("oracle_indices " + " ".join(str(j) for j in reference[row]))
+                else:
+                    print("oracle_ties " + _indices_text(reference[row]))
+                print(f"oracle_match {int(agree[row])}")
     return status
 
 
@@ -221,15 +192,7 @@ def _parse_random_code(text: str) -> RandomCodeSpec:
 
 
 def _cmd_simulate(args, parser) -> int:
-    picked = [flag for flag in ("code", "gen", "random_code") if getattr(args, flag, None)]
-    if len(picked) != 1:
-        parser.error("exactly one of --code, --gen, or --random-code is required")
-    if args.random_code:
-        source: Code | LinearCode | RandomCodeSpec = _parse_random_code(args.random_code)
-    elif args.gen:
-        source = read_linear_code_file(args.gen)
-    else:
-        source = read_code_file(args.code)
+    source = _code_source(args, parser)
     channel = parse_channel_spec(args.channel)
     config = SimConfig(
         code_source=source,
@@ -277,7 +240,7 @@ def _cmd_gen_code(args, parser) -> int:
 
 
 def _cmd_inspect(args, parser) -> int:
-    code = _resolve_code(args, parser)
+    code, _ = simulate._resolve_code(_code_source(args, parser))
     codebook = build_codebook_matrix(code)
     blocks = len(codebook.factorization.blocks)
     print(f"q={code.q} n={code.n} S={code.size}, M: {codebook.rows}x{codebook.cols}, blocks={blocks}")
@@ -297,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_received_arguments(decode)
     decode.add_argument("--tie-tol", type=float, default=0.0, help="tie tolerance (default 0)")
     decode.add_argument("--oracle", action="store_true", help="cross-check by brute force")
-    decode.set_defaults(handler=_cmd_decode)
+    decode.set_defaults(handler=_cmd_decode, variant="ml")
 
     listdec = sub.add_parser("list-decode", help="top-L most likely codewords")
     _add_code_arguments(listdec)
@@ -305,20 +268,20 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_received_arguments(listdec)
     listdec.add_argument("--list-size", type=int, required=True, help="entries to return")
     listdec.add_argument("--oracle", action="store_true", help="cross-check by brute force")
-    listdec.set_defaults(handler=_cmd_list_decode)
+    listdec.set_defaults(handler=_cmd_decode, variant="list")
 
     erasure = sub.add_parser("erasure-decode", help="decode a word with erasures")
     _add_code_arguments(erasure)
     _add_received_arguments(erasure)
     erasure.add_argument("--tie-tol", type=float, default=0.0, help="tie tolerance (default 0)")
     erasure.add_argument("--oracle", action="store_true", help="cross-check by brute force")
-    erasure.set_defaults(handler=_cmd_erasure_decode)
+    erasure.set_defaults(handler=_cmd_decode, variant="erasure")
 
     synd = sub.add_parser("syndrome-decode", help="coset-leader decode of a binary word")
     synd.add_argument("--gen", metavar="FILE", required=True, help="generator file")
     _add_received_arguments(synd)
     synd.add_argument("--oracle", action="store_true", help="cross-check by brute force")
-    synd.set_defaults(handler=_cmd_syndrome_decode)
+    synd.set_defaults(handler=_cmd_decode, variant="syndrome")
 
     isi = sub.add_parser("isi-decode", help="ML decode over a channel with memory")
     _add_code_arguments(isi)
@@ -326,7 +289,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_received_arguments(isi)
     isi.add_argument("--tie-tol", type=float, default=0.0, help="tie tolerance (default 0)")
     isi.add_argument("--oracle", action="store_true", help="cross-check by brute force")
-    isi.set_defaults(handler=_cmd_isi_decode)
+    isi.set_defaults(handler=_cmd_decode, variant="isi")
 
     sim = sub.add_parser("simulate", help="Monte Carlo frame-error simulation")
     _add_code_arguments(sim)
@@ -334,9 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--channel", required=True, help="channel spec or file")
     sim.add_argument("--trials", type=int, required=True)
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument(
-        "--variant", choices=("ml", "list", "erasure", "syndrome", "isi"), default="ml"
-    )
+    sim.add_argument("--variant", choices=simulate.VARIANTS, default="ml")
     sim.add_argument("--list-size", type=int, default=1)
     sim.add_argument("--tie-tol", type=float, default=0.0)
     sim.add_argument("--oracle", action="store_true", help="cross-check every trial")

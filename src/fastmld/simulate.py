@@ -14,13 +14,18 @@ batched product, and tallies with array operations.  With the oracle check
 on, one brute-force oracle call per chunk re-decodes the whole chunk.
 Codewords and noise come from two streams drawn in trial order, so the
 report does not depend on the chunk size.
+
+Each variant's decisions live here once, in three steps that the command
+line's decode commands share with ``run_monte_carlo``: ``_prepare`` builds
+the variant's structure, ``_decode_chunk`` decodes a batch with it, and
+``_oracle_agreement`` checks every row of a decoded batch by brute force.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import median
 
 import numpy as np
@@ -33,7 +38,6 @@ from .channels import (
 )
 from .codes import (
     Code,
-    CodebookMatrix,
     LinearCode,
     build_bipolar_codebook,
     build_codebook_matrix,
@@ -132,22 +136,13 @@ class SimReport:
     mean_decode_additions: float
     wall_time_per_decode: float
 
+    def _values(self) -> list[tuple[str, object]]:
+        """The deterministic fields in report order: all but the wall-clock time."""
+        names = [f.name for f in fields(self) if f.name != "wall_time_per_decode"]
+        return [(name, getattr(self, name)) for name in names]
+
     def _fields(self) -> list[tuple[str, str]]:
-        return [
-            ("variant", self.variant),
-            ("trials", str(self.trials)),
-            ("seed", str(self.seed)),
-            ("workers", str(self.workers)),
-            ("error_rule", self.error_rule),
-            ("word_errors", str(self.word_errors)),
-            ("frame_error_rate", repr(self.frame_error_rate)),
-            ("symbol_error_rate", repr(self.symbol_error_rate)),
-            ("tie_events", str(self.tie_events)),
-            ("analytic_fer", "none" if self.analytic_fer is None else repr(self.analytic_fer)),
-            ("oracle_checked", str(int(self.oracle_checked))),
-            ("oracle_disagreements", str(self.oracle_disagreements)),
-            ("mean_decode_additions", repr(self.mean_decode_additions)),
-        ]
+        return [(name, _field_text(value)) for name, value in self._values()]
 
     def canonical_text(self) -> str:
         """Deterministic report body: identical configs give identical bytes."""
@@ -166,22 +161,18 @@ class SimReport:
 
     def to_json(self) -> str:
         """Machine-readable form of the deterministic fields."""
-        payload = {
-            "variant": self.variant,
-            "trials": self.trials,
-            "seed": self.seed,
-            "workers": self.workers,
-            "error_rule": self.error_rule,
-            "word_errors": self.word_errors,
-            "frame_error_rate": self.frame_error_rate,
-            "symbol_error_rate": self.symbol_error_rate,
-            "tie_events": self.tie_events,
-            "analytic_fer": self.analytic_fer,
-            "oracle_checked": self.oracle_checked,
-            "oracle_disagreements": self.oracle_disagreements,
-            "mean_decode_additions": self.mean_decode_additions,
-        }
-        return json.dumps(payload)
+        return json.dumps(dict(self._values()))
+
+
+def _field_text(value) -> str:
+    """A report value as canonical text: floats by repr, flags as 0/1, no value as none."""
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
 
 
 @dataclass(frozen=True)
@@ -248,31 +239,7 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
         msg = f"need at least one worker, got {config.workers}"
         raise InvalidParams(msg)
     code, linear = _resolve_code(config.code_source)
-    channel = config.channel
-    variant = config.variant
-
-    if variant in ("ml", "list"):
-        structure = build_codebook_matrix(code)
-    elif variant == "erasure":
-        if not isinstance(channel, ErasureChannel):
-            msg = "erasure simulation needs an ErasureChannel"
-            raise InvalidParams(msg)
-        structure = build_bipolar_codebook(code)
-    elif variant == "syndrome":
-        if linear is None:
-            msg = "syndrome simulation needs a linear code"
-            raise InvalidParams(msg)
-        if not isinstance(channel, DiscreteChannel) or channel.q != 2:
-            msg = "syndrome simulation needs a binary discrete channel"
-            raise InvalidParams(msg)
-        # One row reduction serves the leader scan and every chunk's decode.
-        parity_check = parity_check_from_generator(linear)
-        structure = build_syndrome_matrix(linear, parity_check) + (parity_check,)
-    else:
-        if not isinstance(channel, IsiChannel):
-            msg = "isi simulation needs an IsiChannel"
-            raise InvalidParams(msg)
-        structure = build_codebook_matrix_isi(code, channel.memory, channel.initial_symbol)
+    structure = _prepare(config.variant, code, linear, config.channel)
 
     # Each worker owns a contiguous trial share and an independent child
     # seed; results merge by addition, so the split count only changes the
@@ -288,11 +255,11 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
         total.merge(_run_trials(config, code, linear, structure, share, picks, noise))
 
     return SimReport(
-        variant=variant,
+        variant=config.variant,
         trials=config.trials,
         seed=config.seed,
         workers=config.workers,
-        error_rule=_ERROR_RULES[variant],
+        error_rule=_ERROR_RULES[config.variant],
         word_errors=total.word_errors,
         frame_error_rate=total.word_errors / config.trials,
         symbol_error_rate=total.symbol_errors / (config.trials * code.n),
@@ -305,6 +272,36 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
     )
 
 
+def _prepare(variant: str, code, linear, channel):
+    """The structure ``variant`` decodes with, once its code and channel are checked.
+
+    ml and list score on the one-hot codebook, erasure on the bit layout
+    and isi on the tuple codebook; syndrome gets the syndrome codebook, its
+    coset leaders and the parity checks both came from.
+    """
+    if variant in ("ml", "list"):
+        return build_codebook_matrix(code)
+    if variant == "erasure":
+        if not isinstance(channel, ErasureChannel):
+            msg = "erasure simulation needs an ErasureChannel"
+            raise InvalidParams(msg)
+        return build_bipolar_codebook(code)
+    if variant == "syndrome":
+        if linear is None:
+            msg = "syndrome simulation needs a linear code"
+            raise InvalidParams(msg)
+        if not isinstance(channel, DiscreteChannel) or channel.q != 2:
+            msg = "syndrome simulation needs a binary discrete channel"
+            raise InvalidParams(msg)
+        # One row reduction serves the leader scan and every chunk's decode.
+        parity_check = parity_check_from_generator(linear)
+        return build_syndrome_matrix(linear, parity_check) + (parity_check,)
+    if not isinstance(channel, IsiChannel):
+        msg = "isi decoding needs an IsiChannel (an isi-dmc channel file)"
+        raise InvalidParams(msg)
+    return build_codebook_matrix_isi(code, channel.memory, channel.initial_symbol)
+
+
 def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, noise) -> _Tally:
     """One worker's share of the trials, a chunk at a time.
 
@@ -315,8 +312,7 @@ def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, 
     """
     variant = config.variant
     channel = config.channel
-    scoring = structure[0] if variant == "syndrome" else structure
-    chunk = _chunk_trials(channel, code, scoring)
+    chunk = _chunk_trials(channel, code, structure)
     tally = _Tally()
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
@@ -342,12 +338,13 @@ def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, 
         tally.word_errors += count - int(hit.sum())
         tally.symbol_errors += int((decoded != words).sum())
         if config.oracle_check:
-            tally.disagreements += _oracle_disagreements(config, code, observation, result)
+            agree, _ = _oracle_agreement(config, code, observation, result)
+            tally.disagreements += count - int(agree.sum())
     return tally
 
 
-def _chunk_trials(channel, code: Code, codebook: CodebookMatrix) -> int:
-    """How many trials a chunk holds within ``_CHUNK_BYTES``.
+def _chunk_trials(channel, code, structure) -> int:
+    """How many trials (or received words) a chunk holds within ``_CHUNK_BYTES``.
 
     Each trial of a chunk keeps three arrays of 8-byte entries: its S
     scores (the product's tables and gathers are no larger), its likelihood
@@ -355,7 +352,10 @@ def _chunk_trials(channel, code: Code, codebook: CodebookMatrix) -> int:
     ``(n, outputs)`` table of cumulative probabilities while sampling.  The
     largest of them sets the chunk, so a long code with few codewords gets
     small chunks too.  Below ``_MIN_BATCH`` trials a chunk holds one.
+    ``structure`` is what ``_prepare`` built, whose codebook is its first
+    entry for syndrome decoding; ``code`` is read only for its length n.
     """
+    codebook = structure[0] if isinstance(structure, tuple) else structure
     outputs = getattr(channel, "output_alphabet_size", 1)
     cells = max(codebook.cols, codebook.rows, code.n * outputs)
     trials = _CHUNK_BYTES // (8 * cells)
@@ -378,33 +378,32 @@ def _decode_chunk(config: SimConfig, code, linear, structure, observation, ops):
     return isi_ml_decode(structure, code, channel, observation, config.tie_tolerance, ops)
 
 
-def _oracle_disagreements(config: SimConfig, code, observation, result) -> int:
-    """How many trials of a chunk the brute-force reference decodes differently.
+def _oracle_agreement(config: SimConfig, code, observation, result):
+    """Which rows of a decoded chunk agree with the brute-force reference, and that reference.
 
     One oracle call scores the whole chunk.  ml and isi compare tie sets,
-    erasure compares them with the minimum-distance ties, list checks the
-    ranking against the reference's, and syndrome checks that the
-    corrected word is one of the minimum-distance ties.
+    erasure compares them with the minimum-distance ties, and syndrome
+    checks that the corrected word is one of the received word's
+    minimum-distance ties; these return the reference tie mask ``(B, S)``.
+    list checks the ranking against the reference's and returns the
+    expected 1-based indices ``(B, L)``.  The agreement is a ``(B,)`` mask.
     """
     variant = config.variant
-    channel = config.channel
     if variant in ("erasure", "syndrome"):
         _, reference, _ = min_distance_decode(code, observation)
         if variant == "erasure":
-            return int((reference != result.ties).any(axis=1).sum())
+            return (reference == result.ties).all(axis=1), reference
         # Distance 0 to codeword j means the corrected word is codeword j.
         _, corrected, distances = min_distance_decode(code, result.codeword + 1)
-        found = (corrected & reference).any(axis=1) & (distances.min(axis=1) == 0)
-        return int((~found).sum())
+        return (corrected & reference).any(axis=1) & (distances.min(axis=1) == 0), reference
     decode = esd_decode_isi if variant == "isi" else esd_decode
-    reference = decode(code, channel, observation, config.tie_tolerance)
+    reference = decode(code, config.channel, observation, config.tie_tolerance)
     if variant == "list":
         scores = reference.scores
         index = np.broadcast_to(np.arange(code.size), scores.shape)
-        order = np.lexsort((index, -scores), axis=-1)
-        expected = order[:, : config.list_size] + 1
-        return int((~ranking_equivalent(scores, result.indices, expected)).sum())
-    return int((reference.ties != result.ties).any(axis=1).sum())
+        expected = np.lexsort((index, -scores), axis=-1)[:, : config.list_size] + 1
+        return ranking_equivalent(scores, result.indices, expected), expected
+    return (reference.ties == result.ties).all(axis=1), reference.ties
 
 
 def bench_multiply(

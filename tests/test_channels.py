@@ -49,10 +49,28 @@ def test_zero_probability_becomes_minus_infinity():
     assert chan.log_transition[0, 0] == 0.0
 
 
+def _malformed_log_tables(rows: int) -> list[np.ndarray]:
+    """``rows`` x 2 log tables that no channel takes.
+
+    One row short, a NaN, a +inf, and a first row summing to 1.4.
+    """
+    half = np.log(np.full((rows, 2), 0.5))
+    nan, inf, heavy = half.copy(), half.copy(), half.copy()
+    nan[0, 0] = np.nan
+    inf[-1, 1] = np.inf
+    heavy[0, 0] = np.log(0.9)
+    return [half[:-1], nan, inf, heavy]
+
+
 def test_direct_construction_still_checks_normalization():
     bad = np.log(np.array([[0.9, 0.9], [0.1, 0.9]]))
     with pytest.raises(InvalidParams):
         DiscreteChannel(q=2, output_alphabet_size=2, log_transition=bad)
+    # ISI channels at memory 0 and 1 reject the same rows.
+    for memory in (0, 1):
+        table = np.vstack([bad] * 2**memory)
+        with pytest.raises(InvalidParams):
+            IsiChannel(q=2, memory=memory, output_alphabet_size=2, log_transition=table)
 
 
 def test_awgn_log_density():
@@ -121,6 +139,14 @@ def test_isi_channel_validation():
         IsiChannel(q=2, memory=1, output_alphabet_size=2, log_transition=table[:3])
     with pytest.raises(SymbolOutOfRange):
         IsiChannel(q=2, memory=1, output_alphabet_size=2, log_transition=table, initial_symbol=3)
+    for memory in (0, 1):
+        for malformed in _malformed_log_tables(2 ** (memory + 1)):
+            with pytest.raises(InvalidParams):
+                IsiChannel(q=2, memory=memory, output_alphabet_size=2, log_transition=malformed)
+    # A memoryless channel rejects the same tables.
+    for malformed in _malformed_log_tables(2):
+        with pytest.raises(InvalidParams):
+            DiscreteChannel(q=2, output_alphabet_size=2, log_transition=malformed)
 
 
 def test_isi_memoryless_degenerate_case():

@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from fastmld import enumerate_codewords
+import fastmld.simulate as simulate
+from fastmld import build_syndrome_matrix, enumerate_codewords
 from fastmld.cli import main
 from fastmld.fileio import write_code_file, write_linear_code_file
 
-from helpers import hamming_code, rep3_code, toy_code
+from helpers import golay_code, hamming_code, rep3_code, toy_code
 
 
 @pytest.fixture
@@ -116,16 +117,20 @@ def test_syndrome_decode(rep3_file, capsys):
     assert "oracle_match 1" in out
 
 
-def test_syndrome_decode_oracle_enumerates_the_code_once(hamming_file, tmp_path, capsys, monkeypatch):
-    import fastmld.cli as cli
-
+def counted_enumerations(monkeypatch) -> list:
+    """Records every code the decode commands enumerate (through the simulation's code source)."""
     calls = []
 
     def counting(linear):
         calls.append(linear)
         return enumerate_codewords(linear)
 
-    monkeypatch.setattr(cli, "enumerate_codewords", counting)
+    monkeypatch.setattr(simulate, "enumerate_codewords", counting)
+    return calls
+
+
+def test_syndrome_decode_oracle_enumerates_the_code_once(hamming_file, tmp_path, capsys, monkeypatch):
+    calls = counted_enumerations(monkeypatch)
     rx = tmp_path / "words"
     rx.write_text("1110000\n0000000\n1011010\n0100101\n")
     assert main(["syndrome-decode", "--gen", hamming_file, "--rx-file", str(rx), "--oracle"]) == 0
@@ -133,6 +138,31 @@ def test_syndrome_decode_oracle_enumerates_the_code_once(hamming_file, tmp_path,
     assert sum(line.startswith("word ") for line in out) == 4
     assert out.count("oracle_match 1") == 4
     assert len(calls) == 1
+
+
+def test_syndrome_decode_without_oracle_never_enumerates_the_code(
+    hamming_file, tmp_path, capsys, monkeypatch
+):
+    calls = counted_enumerations(monkeypatch)
+    rx = tmp_path / "words"
+    rx.write_text("1110000\n0000000\n1011010\n")
+    assert main(["syndrome-decode", "--gen", hamming_file, "--rx-file", str(rx)]) == 0
+    assert lines_of(capsys).count("codeword 1110000") == 1
+    assert calls == []
+
+
+def test_syndrome_oracle_checks_the_received_word(hamming_file, capsys, monkeypatch):
+    # Leaders moved by a nonzero codeword keep their syndromes, so 1000000
+    # decodes to 1111111 at distance 6, not to its nearest codeword 0000000.
+    def heavier(linear, parity_check=None):
+        matrix, leaders = build_syndrome_matrix(linear, parity_check)
+        return matrix, (leaders + linear.generator.sum(axis=0)) % 2
+
+    monkeypatch.setattr(simulate, "build_syndrome_matrix", heavier)
+    assert main(["syndrome-decode", "--gen", hamming_file, "--rx", "1000000", "--oracle"]) == 1
+    out = lines_of(capsys)
+    assert "codeword 1111111" in out
+    assert out[-2:] == ["oracle_ties 1", "oracle_match 0"]
 
 
 def test_isi_decode(toy_code_file, tmp_path, capsys):
@@ -211,3 +241,81 @@ def test_gen_code_round_trip(tmp_path, capsys):
     capsys.readouterr()
     assert main(["inspect", "--gen", str(out_path)]) == 0
     assert "S=16" in capsys.readouterr().out
+
+
+ISI_CHANNEL = "kind isi-dmc\nq 2\nmemory 1\nrow 0.9 0.1\nrow 0.2 0.8\nrow 0.7 0.3\nrow 0.1 0.9\n"
+
+
+def _bits(rng, n: int, count: int) -> list[str]:
+    return ["".join(map(str, rng.integers(0, 2, n))) for _ in range(count)]
+
+
+def _file_cases():
+    """(command, code file, extra arguments, words): every decode command and channel kind."""
+    rng = np.random.default_rng(12)
+    soft = [", ".join(repr(float(v)) for v in np.round(rng.normal(0, 1.2, 7), 3)) for _ in range(5)]
+    erased = ["".join(rng.choice(list("01e"), 7, p=[0.4, 0.4, 0.2])) for _ in range(6)]
+    golay_erased = [word.replace("1", "e", 2) for word in _bits(rng, 23, 40)]
+    bsc, awgn, isi = ["--channel", "bsc:0.05"], ["--channel", "awgn:0.8"], ["--channel", "isi"]
+    case = pytest.param
+    return [
+        case("decode", "toy", bsc, ["000", "111", "010", "101"], id="decode-toy-bsc"),
+        case("decode", "hamming", awgn, soft, id="decode-hamming-awgn"),
+        case("decode", "golay", bsc, _bits(rng, 23, 41), id="decode-golay-bsc"),
+        case("list-decode", "hamming", bsc + ["--list-size", "4"], _bits(rng, 7, 6), id="list-hamming"),
+        case("list-decode", "hamming", awgn + ["--list-size", "3"], soft, id="list-hamming-awgn"),
+        case("erasure-decode", "hamming", ["--tie-tol", "1"], erased, id="erasure-hamming"),
+        case("erasure-decode", "golay", [], golay_erased, id="erasure-golay"),
+        case("syndrome-decode", "hamming", [], _bits(rng, 7, 6), id="syndrome-hamming"),
+        case("syndrome-decode", "golay", [], _bits(rng, 23, 70), id="syndrome-golay"),
+        case("isi-decode", "toy", isi, ["010", "111", "000"], id="isi-toy"),
+        case("isi-decode", "hamming", isi, _bits(rng, 7, 5), id="isi-hamming"),
+    ]
+
+
+@pytest.mark.parametrize("oracle", [[], ["--oracle"]], ids=["plain", "oracle"])
+@pytest.mark.parametrize("command, code, extra, words", _file_cases())
+def test_rx_file_prints_each_words_rx_record(
+    tmp_path, capsys, monkeypatch, command, code, extra, words, oracle
+):
+    files = {"toy": tmp_path / "toy.code", "hamming": tmp_path / "h.gen", "golay": tmp_path / "g.gen"}
+    write_code_file(files["toy"], toy_code())
+    write_linear_code_file(files["hamming"], hamming_code())
+    write_linear_code_file(files["golay"], golay_code())
+    (tmp_path / "isi.chan").write_text(ISI_CHANNEL)
+    flag = "--code" if code == "toy" else "--gen"
+    extra = [str(tmp_path / "isi.chan") if arg == "isi" else arg for arg in extra]
+    base = [command, flag, str(files[code])] + extra + oracle
+    singles = []
+    for word in words:
+        status = main(base + ["--rx", word])
+        singles.append((status, capsys.readouterr().out))
+    decode = simulate._decode_chunk
+    chunks = []
+    monkeypatch.setattr(simulate, "_decode_chunk", lambda *args: chunks.append(1) or decode(*args))
+    rx = tmp_path / "words"
+    rx.write_text("\n".join(words) + "\n")
+    status = main(base + ["--rx-file", str(rx)])
+    assert capsys.readouterr().out == "\n".join(out for _, out in singles)
+    assert status == max(s for s, _ in singles)
+    # Golay chunks hold 32 words (64 for syndrome decoding), so these files decode in two.
+    assert len(chunks) == (2 if code == "golay" else 1)
+
+
+@pytest.mark.parametrize(
+    "command", ["decode", "list-decode", "erasure-decode", "syndrome-decode", "isi-decode"]
+)
+def test_a_wrong_length_word_in_a_file_is_a_domain_error(hamming_file, tmp_path, capsys, command):
+    chan = tmp_path / "isi.chan"
+    chan.write_text(ISI_CHANNEL)
+    extra = {
+        "decode": ["--channel", "bsc:0.1"],
+        "list-decode": ["--channel", "bsc:0.1", "--list-size", "2"],
+        "isi-decode": ["--channel", str(chan)],
+    }.get(command, [])
+    rx = tmp_path / "words"
+    rx.write_text("0000000\n111\n1010101\n")
+    assert main([command, "--gen", hamming_file, "--rx-file", str(rx)] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -72,6 +72,9 @@ def test_json_round_trips():
     assert payload["trials"] == 50
     assert payload["error_rule"] == "transmitted_not_in_ties"
     assert payload["word_errors"] == report.word_errors
+    # The JSON holds the canonical fields, in their order, as raw values.
+    assert list(payload) == [name for name, _ in report._fields()]
+    assert payload["oracle_checked"] is False and payload["analytic_fer"] is None
 
 
 def test_tie_inclusive_error_rule():
