@@ -14,8 +14,8 @@ from fastmld import (
     Code,
     IsiChannel,
     build_codebook_matrix_isi,
-    esd_decode_isi,
-    isi_ml_decode,
+    esd_decode,
+    ml_decode,
     sample_channel,
 )
 
@@ -41,8 +41,8 @@ checked = 0
 for _ in range(500):
     index = int(rng.integers(code.size))
     received = sample_channel(channel, code.codewords[index], rng)
-    result = isi_ml_decode(codebook, code, channel, received)
-    reference = esd_decode_isi(code, channel, received)
+    result = ml_decode(codebook, code, channel, received)
+    reference = esd_decode(code, channel, received)
     assert result.ties == reference.ties
     errors += result.best_index != index + 1
     checked += 1

@@ -69,22 +69,24 @@ def _code_source(args, parser) -> Code | LinearCode | RandomCodeSpec:
     return read_code_file(args.code)
 
 
-def _received_words(args, channel, q: int) -> list:
+def _received_words(args, channel) -> list:
     if args.rx is not None:
-        return [parse_received_word(args.rx, channel, q)]
-    return read_observations(args.rx_file, channel, q)
+        return [parse_received_word(args.rx, channel)]
+    return read_observations(args.rx_file, channel)
 
 
-def _word_text(received, q: int) -> str:
+def _word_text(received, channel) -> str:
+    """A received word as typed: reals, a 0/1/e string, or by the channel's output alphabet."""
     if isinstance(received, np.ndarray) and received.dtype == np.float64:
         return ",".join(repr(float(v)) for v in received)
     if isinstance(received, np.ndarray):
-        return _symbols_text(received, q)
+        return _symbols_text(received, channel.output_alphabet_size)
     return str(received)
 
 
-def _symbols_text(symbols: np.ndarray, q: int | None) -> str:
-    if q == 2:
+def _symbols_text(symbols: np.ndarray, alphabet: int) -> str:
+    """Symbols 1..alphabet: as bits when there are two, else space-separated."""
+    if alphabet == 2:
         return "".join(str(int(s) - 1) for s in symbols)
     return " ".join(str(int(s)) for s in symbols)
 
@@ -141,7 +143,7 @@ def _cmd_decode(args, parser) -> int:
     shape = linear if code is None else code
     channel = _WORD_CHANNELS.get(variant) or parse_channel_spec(args.channel)
     structure = simulate._prepare(variant, code, linear, channel)
-    words = _received_words(args, channel, shape.q)
+    words = _received_words(args, channel)
     config = SimConfig(
         code_source=source,
         channel=channel,
@@ -159,12 +161,14 @@ def _cmd_decode(args, parser) -> int:
         observation = _stack(batch, shape.n)
         result = simulate._decode_chunk(config, code, linear, structure, observation, None)
         if args.oracle:
-            agree, reference = simulate._oracle_agreement(config, code, observation, result)
+            agree, reference = simulate._oracle_agreement(
+                config, code, structure, observation, result
+            )
             status |= int(not agree.all())
         for row, received in enumerate(batch):
             if start + row:
                 print()
-            print(f"word {_word_text(received, shape.q)}")
+            print(f"word {_word_text(received, channel)}")
             for line in _record(variant, result, row, structure, shape.q):
                 print(line)
             if variant == "erasure":

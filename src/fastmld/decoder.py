@@ -4,11 +4,15 @@ Every decoder follows the same three steps: build the observation's
 per-position score vector, multiply it by a ``CodebookMatrix`` in one
 ``vec_times_matrix`` call on its factorization, and scan the resulting
 score vector for the argmax (or the top of the ranking).  Decoders differ
-only in the vector they build: log-likelihoods for ``ml_decode``,
-``list_decode`` and ``isi_ml_decode``, +1/-1/0 for ``erasure_decode``
-(against the bit layout, then ``2*(v @ B) - sum(v)``), and syndrome bits
-for ``syndrome_decode``.  Codeword indices in results are 1-based and
-stable: index i always refers to row i-1 of ``code.codewords``.
+only in the vector they build: log-likelihoods for ``ml_decode`` and
+``list_decode``, +1/-1/0 for ``erasure_decode`` (against the bit layout,
+then ``2*(v @ B) - sum(v)``), and syndrome bits for ``syndrome_decode``.
+ml, list and isi score on the one-hot codebook of the channel's memory:
+a channel with memory is priced per (symbol, predecessors) tuple, so ISI
+decoding is ``ml_decode`` on ``build_codebook_matrix_isi``, and
+``isi_ml_decode`` is a second name for it.  Codeword indices in results
+are 1-based and stable: index i always refers to row i-1 of
+``code.codewords``.
 
 Ties are exact by default: the tie set holds every index whose score is
 ``>= max - tie_tolerance`` with tolerance 0, and the reported best index is
@@ -27,8 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import (
-    ContinuousChannel,
-    DiscreteChannel,
     ErasureObservation,
     IsiChannel,
     bipolar_received_vector,
@@ -50,8 +52,6 @@ from .errors import (
     ObservationOutOfAlphabet,
 )
 from .mailman import OpCount, vec_times_matrix
-
-_MEMORYLESS = (DiscreteChannel, ContinuousChannel)
 
 
 @dataclass(frozen=True)
@@ -144,18 +144,13 @@ def _finish(code: Code, scores: np.ndarray, tie_tolerance: float) -> DecodeResul
     )
 
 
-def _likelihoods(
-    codebook: CodebookMatrix, code: Code, channel, accepted: tuple, received, ops
-) -> np.ndarray:
+def _likelihoods(codebook: CodebookMatrix, code: Code, channel, received, ops) -> np.ndarray:
     """Every codeword's log-likelihood, in one product.
 
-    First checks ``channel`` against the ``accepted`` types, and that the
-    code, the channel and the one-hot codebook were made for each other.
+    First checks that the code, the channel and the one-hot codebook were
+    made for each other: a channel with memory needs the codebook of its
+    memory and initial symbol.
     """
-    if not isinstance(channel, accepted):
-        names = " or ".join(kind.__name__ for kind in accepted)
-        msg = f"this decoder needs a {names}, got {type(channel).__name__}"
-        raise InvalidParams(msg)
     if channel.q != code.q:
         msg = f"channel input alphabet {channel.q} does not match code q={code.q}"
         raise DimensionMismatch(msg)
@@ -194,9 +189,11 @@ def ml_decode(
     """Exact maximum-likelihood decode of one observation ``(n,)`` or a batch ``(B, n)``.
 
     Scores every codeword's log-likelihood in one vector-matrix product and
-    returns the argmax; works for any code, discrete or Gaussian channel.
+    returns the argmax; works for any code and any discrete, Gaussian or ISI
+    channel.  A channel with memory needs ``build_codebook_matrix_isi``,
+    which prices each position's (symbol, predecessors) tuple.
     """
-    scores = _likelihoods(codebook, code, channel, _MEMORYLESS, received, ops)
+    scores = _likelihoods(codebook, code, channel, received, ops)
     return _finish(code, scores, tie_tolerance)
 
 
@@ -217,7 +214,7 @@ def list_decode(
     if not 1 <= list_size <= code.size:
         msg = f"list size {list_size} outside 1..{code.size}"
         raise ListSizeOutOfRange(msg)
-    scores = _likelihoods(codebook, code, channel, _MEMORYLESS, received, ops)
+    scores = _likelihoods(codebook, code, channel, received, ops)
     # Stable sort of the negated scores: descending, lower index first on
     # ties, -inf last; negation is exact, so the ranking is too.
     order = np.argsort(-scores, axis=-1, kind="stable")[..., :list_size]
@@ -327,20 +324,5 @@ def syndrome_decode(
     )
 
 
-def isi_ml_decode(
-    codebook: CodebookMatrix,
-    code: Code,
-    channel: IsiChannel,
-    received: np.ndarray,
-    tie_tolerance: float = 0.0,
-    ops: OpCount | None = None,
-) -> DecodeResult:
-    """Maximum-likelihood decode over a channel with memory, of ``(n,)`` or ``(B, n)`` outputs.
-
-    Same product as ``ml_decode`` but the codebook one-hot encodes each
-    position's (symbol, predecessors) tuple, so the channel's dependence on
-    the last ``memory`` symbols is priced into the matrix.  ``memory=0``
-    coincides with ``ml_decode``.
-    """
-    scores = _likelihoods(codebook, code, channel, (IsiChannel,), received, ops)
-    return _finish(code, scores, tie_tolerance)
+#: ISI decoding is ML decoding on the codebook of the channel's memory.
+isi_ml_decode = ml_decode

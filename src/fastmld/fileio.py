@@ -184,13 +184,14 @@ def parse_channel_spec(spec: str):
     return read_channel_file(spec)
 
 
-def parse_received_word(text: str, channel, q: int):
+def parse_received_word(text: str, channel):
     """Parse one received word as typed on the command line or per file line.
 
     Continuous channels take comma/space-separated reals; the erasure
     channel takes a 0/1/e string; discrete channels take either a compact
-    digit string or space-separated symbols.  Binary digit strings are read
-    as bits 0/1 and mapped to symbols 1/2.
+    digit string or space-separated digits, read by the channel's output
+    alphabet.  A channel with two outputs takes bits 0/1, mapped to output
+    symbols 1/2; any other takes its 1-based output symbols as typed.
     """
     text = text.strip()
     if not text:
@@ -204,18 +205,17 @@ def parse_received_word(text: str, channel, q: int):
     if not compact.isdigit():
         msg = f"received word {text!r} must hold digits"
         raise ObservationOutOfAlphabet(msg)
-    separated = " " in text or "," in text
-    if separated:
-        symbols = np.array(_ints(text.replace(",", " "), None, f"received word {text!r}"))
-    else:
-        symbols = np.array([int(ch) for ch in compact], dtype=np.int64)
-    # Binary words are typed as bits and shifted to symbols 1/2; anything
-    # with a digit above 1 is taken as literal 1-based symbols.
-    if q == 2 and symbols.size and symbols.max() <= 1:
+    # Separated words hold one symbol per field, compact ones one per digit.
+    fields = text.replace(",", " ") if " " in text or "," in text else " ".join(compact)
+    symbols = np.array(_ints(fields, None, f"received word {text!r}"), dtype=np.int64)
+    if channel.output_alphabet_size == 2:
+        if symbols.max() > 1:
+            msg = f"received word {text!r} must hold bits 0/1 for a channel with two outputs"
+            raise ObservationOutOfAlphabet(msg)
         symbols = symbols + 1
     return symbols
 
 
-def read_observations(path: str, channel, q: int) -> list:
+def read_observations(path: str, channel) -> list:
     """One received word per content line of ``path``."""
-    return [parse_received_word(line, channel, q) for line in _content_lines(path)]
+    return [parse_received_word(line, channel) for line in _content_lines(path)]

@@ -4,6 +4,10 @@ Every function here scores every codeword directly, with no matrix
 factorization anywhere on the path.  They exist to cross-check the fast
 decoders and to anchor tests, so they are kept deliberately plain: a
 gather of per-position log-likelihoods (or symbol mismatches) and a sum.
+``esd_decode`` checks ml, list and isi alike, as ml, list and isi score
+on the one-hot codebook of the channel's memory: it gathers each
+position's likelihood by symbol at memory 0, and by (symbol,
+predecessors) tuple otherwise.
 
 Each takes one observation ``(n,)`` or a batch ``(B, n)`` and scores a
 block of codewords at a time: one C-contiguous ``(B, block, n)`` gather,
@@ -20,7 +24,7 @@ import numpy as np
 from .channels import ErasureObservation, IsiChannel, conditional_probability_vector
 from .codes import Code, tuple_indices
 from .decoder import DecodeResult, _finish
-from .errors import DimensionMismatch, InvalidParams
+from .errors import DimensionMismatch
 
 #: Byte budget for one block's ``(B, block, n)`` gather of 8-byte entries.
 _GATHER_BYTES = 1 << 20
@@ -32,12 +36,17 @@ def _blocks(batch: int, code: Code):
     return ((lo, min(lo + step, code.size)) for lo in range(0, code.size, step))
 
 
-def _gather_sums(code: Code, channel, received, width: int, symbol_index) -> np.ndarray:
-    """Every codeword's log-likelihood, ``(S,)`` for one observation or ``(B, S)``.
+def esd_decode(
+    code: Code, channel, received: np.ndarray, tie_tolerance: float = 0.0
+) -> DecodeResult:
+    """Exhaustive-search decode: sum log P(y_i | c_i) for every codeword.
 
-    ``symbol_index`` maps codewords ``(block, n)`` to each position's
-    column in that position's block of ``width`` likelihood entries.
+    Over a channel with memory, position i reads the row of its
+    (symbol, predecessors) tuple, ``tuple_indices``, in place of symbol
+    ``c_i``.  Takes one observation ``(n,)`` or a batch ``(B, n)``.
     """
+    memory = channel.memory if isinstance(channel, IsiChannel) else 0
+    width = code.q ** (memory + 1)
     vector = conditional_probability_vector(channel, received)
     if vector.shape[-1] != code.n * width:
         msg = f"observation of length {vector.shape[-1] // width} does not match n={code.n}"
@@ -46,40 +55,13 @@ def _gather_sums(code: Code, channel, received, width: int, symbol_index) -> np.
     offsets = np.arange(code.n) * width
     scores = np.empty((table.shape[0], code.size), dtype=np.float64)
     for lo, hi in _blocks(table.shape[0], code):
-        rows = symbol_index(code.codewords[lo:hi]) + offsets
+        words = code.codewords[lo:hi]
+        if memory:
+            rows = tuple_indices(code.q, memory, words, channel.initial_symbol) + offsets
+        else:
+            rows = words - 1 + offsets
         scores[:, lo:hi] = np.take(table, rows, axis=1).sum(axis=-1)
-    return scores.reshape(vector.shape[:-1] + (code.size,))
-
-
-def esd_decode(
-    code: Code, channel, received: np.ndarray, tie_tolerance: float = 0.0
-) -> DecodeResult:
-    """Exhaustive-search decode: sum log P(y_i | c_i) for every codeword.
-
-    Takes one observation ``(n,)`` or a batch ``(B, n)``.
-    """
-    if isinstance(channel, IsiChannel):
-        msg = "esd_decode takes a memoryless channel; use esd_decode_isi"
-        raise InvalidParams(msg)
-    scores = _gather_sums(code, channel, received, code.q, lambda words: words - 1)
-    return _finish(code, scores, tie_tolerance)
-
-
-def esd_decode_isi(
-    code: Code, channel: IsiChannel, received: np.ndarray, tie_tolerance: float = 0.0
-) -> DecodeResult:
-    """Exhaustive-search decode over a channel with memory, of ``(n,)`` or ``(B, n)`` outputs."""
-    if not isinstance(channel, IsiChannel):
-        msg = f"expected an IsiChannel, got {type(channel).__name__}"
-        raise InvalidParams(msg)
-    scores = _gather_sums(
-        code,
-        channel,
-        received,
-        channel.tuple_count,
-        lambda words: tuple_indices(code.q, channel.memory, words, channel.initial_symbol),
-    )
-    return _finish(code, scores, tie_tolerance)
+    return _finish(code, scores.reshape(vector.shape[:-1] + (code.size,)), tie_tolerance)
 
 
 def min_distance_decode(

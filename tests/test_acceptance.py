@@ -27,7 +27,6 @@ from fastmld import (
     erasure_decode,
     ErasureObservation,
     esd_decode,
-    esd_decode_isi,
     factorize,
     isi_ml_decode,
     IsiChannel,
@@ -291,7 +290,7 @@ def test_isi_tie_agreement():
         # two words sharing the same multiset of (tuple, output) pairs tie
         # exactly for any table, so both sides collapse rounding noise
         got = isi_ml_decode(codebook, code, channel, received, tie_tolerance=1e-9)
-        ref = esd_decode_isi(code, channel, received, tie_tolerance=1e-9)
+        ref = esd_decode(code, channel, received, tie_tolerance=1e-9)
         mismatches += got.ties != ref.ties
 
     ok = mismatches == 0

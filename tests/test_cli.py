@@ -270,6 +270,9 @@ def _file_cases():
         case("syndrome-decode", "golay", [], _bits(rng, 23, 70), id="syndrome-golay"),
         case("isi-decode", "toy", isi, ["010", "111", "000"], id="isi-toy"),
         case("isi-decode", "hamming", isi, _bits(rng, 7, 5), id="isi-hamming"),
+        case("decode", "hamming", isi, _bits(rng, 7, 5), id="decode-hamming-isi"),
+        case("list-decode", "toy", isi + ["--list-size", "3"], ["010", "111"], id="list-toy-isi"),
+        case("list-decode", "hamming", isi + ["--list-size", "4"], _bits(rng, 7, 5), id="list-hamming-isi"),
     ]
 
 
@@ -300,6 +303,46 @@ def test_rx_file_prints_each_words_rx_record(
     assert status == max(s for s, _ in singles)
     # Golay chunks hold 32 words (64 for syndrome decoding), so these files decode in two.
     assert len(chunks) == (2 if code == "golay" else 1)
+
+
+@pytest.mark.parametrize("code", ["toy", "hamming"])
+def test_decode_and_list_decode_take_an_isi_channel_file(tmp_path, capsys, code):
+    chan = tmp_path / "isi.chan"
+    chan.write_text(ISI_CHANNEL)
+    if code == "toy":
+        source, word = ["--code", str(tmp_path / "toy.code")], "010"
+        write_code_file(tmp_path / "toy.code", toy_code())
+    else:
+        source, word = ["--gen", str(tmp_path / "h.gen")], "0110100"
+        write_linear_code_file(tmp_path / "h.gen", hamming_code())
+    base = source + ["--channel", str(chan), "--rx", word, "--oracle"]
+    assert main(["isi-decode"] + base) == 0
+    isi = capsys.readouterr().out
+    assert main(["decode"] + base) == 0
+    assert capsys.readouterr().out == isi  # one likelihood path
+    assert main(["list-decode"] + base + ["--list-size", "3"]) == 0
+    out = lines_of(capsys)
+    assert out[0] == f"word {word}"
+    assert [line.split()[:2] for line in out[1:4]] == [["rank", "1"], ["rank", "2"], ["rank", "3"]]
+    assert out[-1] == "oracle_match 1"
+
+
+def test_received_words_are_read_by_the_channels_output_alphabet(toy_code_file, tmp_path, capsys):
+    # Two outputs take bits only.
+    assert main(["decode", "--code", toy_code_file, "--channel", "bsc:0.1", "--rx", "2 2 2"]) == 1
+    assert "bits 0/1" in capsys.readouterr().err
+    # Binary input, three outputs: the word holds 1-based output symbols.
+    chan = tmp_path / "three.chan"
+    chan.write_text("kind dmc\nrow 0.8 0.15 0.05\nrow 0.05 0.15 0.8\n")
+    base = ["decode", "--code", toy_code_file, "--channel", str(chan), "--oracle"]
+    assert main(base + ["--rx", "1 1 1"]) == 0
+    out = lines_of(capsys)
+    assert out[0] == "word 1 1 1"
+    assert out[3] == "ties 1 2 3"  # as for bits 000: the weight-one codewords tie
+    assert main(base + ["--rx", "3 3 3"]) == 0
+    assert lines_of(capsys)[:2] == ["word 3 3 3", "best_index 4"]
+    assert main(base + ["--rx", "0 0 0"]) == 1
+    assert "must lie in 1..3" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -218,7 +218,7 @@ def test_erasure_decode_requires_binary_code():
 
 
 def test_single_codeword_code_decodes_like_the_oracle():
-    from fastmld import esd_decode_isi, min_distance_decode
+    from fastmld import min_distance_decode
 
     code = Code(q=2, n=3, codewords=np.array([[2, 1, 2]]))
     chan = toy_channel()
@@ -246,7 +246,7 @@ def test_single_codeword_code_decodes_like_the_oracle():
     table = np.array([[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]])
     chan = IsiChannel.from_probabilities(2, 1, table)
     codebook = build_codebook_matrix_isi(code, 1)
-    reference = esd_decode_isi(code, chan, y)
+    reference = esd_decode(code, chan, y)
     ops = OpCount()
     result = isi_ml_decode(codebook, code, chan, y, ops=ops)
     assert result.ties == reference.ties
@@ -349,8 +349,6 @@ def test_syndrome_decode_rejects_non_bits():
 
 
 def test_isi_decode_matches_oracle_brute_force():
-    from fastmld import esd_decode_isi
-
     rng = np.random.default_rng(25)
     code = Code(
         q=2,
@@ -363,9 +361,44 @@ def test_isi_decode_matches_oracle_brute_force():
     for _ in range(100):
         y = rng.integers(1, 4, size=4)
         fast = isi_ml_decode(codebook, code, chan, y)
-        slow = esd_decode_isi(code, chan, y)
+        slow = esd_decode(code, chan, y)
         assert fast.ties == slow.ties
         np.testing.assert_allclose(fast.scores, slow.scores, rtol=1e-12, atol=1e-12)
+
+
+def test_ml_and_list_decode_need_the_codebook_of_the_channels_memory():
+    assert isi_ml_decode is ml_decode
+    code = toy_code()
+    chan = IsiChannel.from_probabilities(2, 1, np.full((4, 2), 0.5))
+    memoryless = build_codebook_matrix(code)
+    with pytest.raises(DimensionMismatch):
+        ml_decode(memoryless, code, chan, np.array([1, 2, 1]))
+    with pytest.raises(DimensionMismatch):
+        list_decode(memoryless, code, chan, np.array([1, 2, 1]), 2)
+    # The codebook of the channel's memory decodes.
+    codebook = build_codebook_matrix_isi(code, 1)
+    assert list_decode(codebook, code, chan, np.array([1, 2, 1]), 2).indices == (1, 2)
+
+
+@pytest.mark.parametrize("memory", [1, 2])
+def test_list_decode_over_isi_agrees_with_the_oracle_ranking(memory):
+    from fastmld import ranking_equivalent
+
+    rng = np.random.default_rng(60 + memory)
+    code = random_code(rng, 2, 8, 40)
+    table = rng.dirichlet(np.ones(3), size=2 ** (memory + 1))
+    chan = IsiChannel.from_probabilities(2, memory, table, initial_symbol=2)
+    codebook = build_codebook_matrix_isi(code, memory, initial_symbol=2)
+    received = rng.integers(1, 4, size=(30, code.n))
+    listed = list_decode(codebook, code, chan, received, 6)
+    scores = esd_decode(code, chan, received).scores
+    index = np.broadcast_to(np.arange(code.size), scores.shape)
+    expected = np.lexsort((index, -scores), axis=-1)[:, :6] + 1
+    assert ranking_equivalent(scores, listed.indices, expected).all()
+    for b, y in enumerate(received):
+        single = list_decode(codebook, code, chan, y, 6)
+        assert single.indices == tuple(listed.indices[b])
+        assert ranking_equivalent(scores[b], single.indices, expected[b])
 
 
 def test_isi_decode_validates_memory_match():

@@ -113,27 +113,33 @@ def test_channel_spec_falls_back_to_file(tmp_path):
 
 def test_parse_received_binary_bits_map_to_symbols():
     chan = DiscreteChannel.bsc(0.1)
-    np.testing.assert_array_equal(parse_received_word("010", chan, 2), [1, 2, 1])
-    np.testing.assert_array_equal(parse_received_word("0 1 0", chan, 2), [1, 2, 1])
-    # Anything above 1 switches to literal 1-based symbols.
-    np.testing.assert_array_equal(parse_received_word("1 2 1", chan, 2), [1, 2, 1])
-    np.testing.assert_array_equal(parse_received_word("121", chan, 2), [1, 2, 1])
+    np.testing.assert_array_equal(parse_received_word("010", chan), [1, 2, 1])
+    np.testing.assert_array_equal(parse_received_word("0 1 0", chan), [1, 2, 1])
+    # A channel with two outputs takes bits only.
+    with pytest.raises(ObservationOutOfAlphabet):
+        parse_received_word("1 2 1", chan)
+    with pytest.raises(ObservationOutOfAlphabet):
+        parse_received_word("121", chan)
 
 
 def test_parse_received_larger_alphabets():
     chan = DiscreteChannel.symmetric(3, 0.1)
-    np.testing.assert_array_equal(parse_received_word("132", chan, 3), [1, 3, 2])
-    np.testing.assert_array_equal(parse_received_word("1,3,2", chan, 3), [1, 3, 2])
+    np.testing.assert_array_equal(parse_received_word("132", chan), [1, 3, 2])
+    np.testing.assert_array_equal(parse_received_word("1,3,2", chan), [1, 3, 2])
     wide = DiscreteChannel.from_probabilities(np.full((2, 12), 1 / 12))
-    np.testing.assert_array_equal(parse_received_word("10 3 12", wide, 2), [10, 3, 12])
+    np.testing.assert_array_equal(parse_received_word("10 3 12", wide), [10, 3, 12])
+    # Binary input, three outputs: output symbols as typed, never shifted.
+    three = DiscreteChannel.from_probabilities([[0.8, 0.15, 0.05], [0.05, 0.15, 0.8]])
+    np.testing.assert_array_equal(parse_received_word("1 1 1", three), [1, 1, 1])
+    np.testing.assert_array_equal(parse_received_word("0 0 0", three), [0, 0, 0])
 
 
 def test_parse_received_continuous_and_erasure():
     awgn = ContinuousChannel.awgn(1.0)
-    np.testing.assert_allclose(parse_received_word("0.25,-1.5", awgn, 2), [0.25, -1.5])
-    np.testing.assert_allclose(parse_received_word("0.25 -1.5", awgn, 2), [0.25, -1.5])
+    np.testing.assert_allclose(parse_received_word("0.25,-1.5", awgn), [0.25, -1.5])
+    np.testing.assert_allclose(parse_received_word("0.25 -1.5", awgn), [0.25, -1.5])
     erase = ErasureChannel(erasure_probability=0.1)
-    obs = parse_received_word("1e0", erase, 2)
+    obs = parse_received_word("1e0", erase)
     assert isinstance(obs, ErasureObservation)
     assert str(obs) == "1e0"
 
@@ -141,17 +147,17 @@ def test_parse_received_continuous_and_erasure():
 def test_parse_received_rejects_garbage():
     chan = DiscreteChannel.bsc(0.1)
     with pytest.raises(InvalidParams):
-        parse_received_word("", chan, 2)
+        parse_received_word("", chan)
     with pytest.raises(ObservationOutOfAlphabet):
-        parse_received_word("01x", chan, 2)
+        parse_received_word("01x", chan)
     awgn = ContinuousChannel.awgn(1.0)
     with pytest.raises(InvalidParams):
-        parse_received_word("1.0,abc", awgn, 2)
+        parse_received_word("1.0,abc", awgn)
 
 
 def test_read_observations(tmp_path):
     path = tmp_path / "obs"
     path.write_text("# three received words\n000\n101\n\n110\n")
-    words = read_observations(path, DiscreteChannel.bsc(0.1), 2)
+    words = read_observations(path, DiscreteChannel.bsc(0.1))
     assert len(words) == 3
     np.testing.assert_array_equal(words[1], [2, 1, 2])

@@ -11,10 +11,8 @@ from fastmld import (
     ContinuousChannel,
     DiscreteChannel,
     ErasureObservation,
-    InvalidParams,
     IsiChannel,
     esd_decode,
-    esd_decode_isi,
     min_distance_decode,
     tuple_indices,
 )
@@ -50,12 +48,12 @@ def test_esd_never_touches_the_fast_kernels(monkeypatch):
     table = np.log(np.array([[0.8, 0.2], [0.3, 0.7], [0.5, 0.5], [0.9, 0.1]]))
     chan = IsiChannel(q=2, memory=1, output_alphabet_size=2, log_transition=table)
     code = Code(q=2, n=2, codewords=np.array([[1, 1], [2, 2]]))
-    esd_decode_isi(code, chan, np.array([1, 2]))
+    esd_decode(code, chan, np.array([1, 2]))
     batch = np.array([[2, 1, 1], [2, 2, 2]])
     np.testing.assert_array_equal(esd_decode(toy_code(), toy_channel(), batch).best_index, [3, 4])
     min_distance_decode(toy_code(), batch)
     min_distance_decode(toy_code(), ErasureObservation(values=batch - 1))
-    esd_decode_isi(code, chan, np.array([[1, 2], [2, 2]]))
+    esd_decode(code, chan, np.array([[1, 2], [2, 2]]))
 
 
 def test_oracle_module_never_mentions_the_kernel():
@@ -104,19 +102,13 @@ def test_ranking_equivalent_checks_score_profiles():
     assert ranking_equivalent(scores, (5,), (6,))  # both impossible
 
 
-def test_esd_decode_rejects_a_channel_with_memory():
-    chan = IsiChannel.from_probabilities(2, 1, np.full((4, 2), 0.5))
-    with pytest.raises(InvalidParams):
-        esd_decode(toy_code(), chan, np.array([1, 2, 1]))
-
-
 def test_esd_isi_scores_by_direct_computation():
     rng = np.random.default_rng(30)
     probs = rng.dirichlet(np.ones(2), size=8)
     chan = IsiChannel.from_probabilities(2, 2, probs)
     code = Code(q=2, n=3, codewords=np.array([[1, 2, 1], [2, 1, 2]]))
     y = np.array([2, 1, 2])
-    result = esd_decode_isi(code, chan, y)
+    result = esd_decode(code, chan, y)
     # Hand-rolled: walk the tuple stream for each codeword.
     expected = []
     for codeword in code.codewords:
@@ -129,6 +121,33 @@ def test_esd_isi_scores_by_direct_computation():
             history.append(bit)
         expected.append(total)
     np.testing.assert_allclose(result.scores, expected, rtol=1e-15)
+
+
+@pytest.mark.parametrize("q, memory, initial", [(2, 0, 1), (2, 1, 2), (2, 2, 1), (3, 1, 3)])
+def test_esd_isi_scores_equal_the_tuple_stream_loop_bitwise(q, memory, initial):
+    rng = np.random.default_rng(31 + memory)
+    n = 6
+    code = Code(q=q, n=n, codewords=np.unique(rng.integers(1, q + 1, size=(25, n)), axis=0))
+    chan = IsiChannel.from_probabilities(
+        q, memory, rng.dirichlet(np.ones(3), size=q ** (memory + 1)), initial_symbol=initial
+    )
+    outputs = rng.integers(1, 4, size=(5, n))
+    result = esd_decode(code, chan, outputs)
+    for b, y in enumerate(outputs):
+        expected = []
+        for codeword in code.codewords:
+            # Walk the stream: each symbol, then its predecessors, newest first.
+            history = [initial - 1] * memory
+            terms = []
+            for i, symbol in enumerate((codeword - 1).tolist()):
+                row = symbol
+                for previous in reversed(history[len(history) - memory :]):
+                    row = row * q + previous
+                terms.append(chan.log_transition[row, y[i] - 1])
+                history.append(symbol)
+            expected.append(np.array(terms).sum())
+        np.testing.assert_array_equal(result.scores[b], expected)
+        np.testing.assert_array_equal(esd_decode(code, chan, y).scores, expected)
 
 
 def _scores_by_loop(table: np.ndarray, columns: np.ndarray) -> np.ndarray:
@@ -155,13 +174,13 @@ def test_batched_esd_scores_equal_the_per_codeword_loop_bitwise(monkeypatch, n):
 
     isi = IsiChannel.from_probabilities(3, 1, rng.dirichlet(np.ones(4), size=9))
     outputs = rng.integers(1, 5, size=(4, n))
-    result = esd_decode_isi(code, isi, outputs)
+    result = esd_decode(code, isi, outputs)
     columns = tuple_indices(3, 1, code.codewords)
     for b in range(4):
         table = isi.log_transition.T[outputs[b] - 1]
         expected = _scores_by_loop(table, columns)
         np.testing.assert_array_equal(result.scores[b], expected)
-        np.testing.assert_array_equal(esd_decode_isi(code, isi, outputs[b]).scores, expected)
+        np.testing.assert_array_equal(esd_decode(code, isi, outputs[b]).scores, expected)
 
 
 def test_batched_oracle_rows_equal_single_words(monkeypatch):
@@ -172,7 +191,7 @@ def test_batched_oracle_rows_equal_single_words(monkeypatch):
     bsc = DiscreteChannel.bsc(0.2)
     result = esd_decode(code, bsc, words, tie_tolerance=1e-12)
     isi = IsiChannel.from_probabilities(2, 1, rng.dirichlet(np.ones(2), size=4))
-    isi_result = esd_decode_isi(code, isi, words)
+    isi_result = esd_decode(code, isi, words)
     best, ties, distances = min_distance_decode(code, words)
     values = np.where(rng.random(words.shape) < 0.4, ERASED, words - 1)
     erased_best, erased_ties, erased_distances = min_distance_decode(
@@ -181,7 +200,7 @@ def test_batched_oracle_rows_equal_single_words(monkeypatch):
     for b, word in enumerate(words):
         for batched, single in (
             (result, esd_decode(code, bsc, word, tie_tolerance=1e-12)),
-            (isi_result, esd_decode_isi(code, isi, word)),
+            (isi_result, esd_decode(code, isi, word)),
         ):
             assert batched.best_index[b] == single.best_index
             np.testing.assert_array_equal(batched.best_codeword[b], single.best_codeword)

@@ -157,6 +157,7 @@ def test_all_variants_pass_oracle_spot_check():
         ("erasure", hamming_code(), ErasureChannel(erasure_probability=0.3), {}),
         ("syndrome", hamming_code(), DiscreteChannel.bsc(0.08), {}),
         ("isi", rep3_code(), IsiChannel.from_probabilities(2, 1, rng_table), {}),
+        ("list", hamming_code(), IsiChannel.from_probabilities(2, 1, rng_table), {"list_size": 3}),
     ]
     for variant, source, channel, extra in cases:
         config = SimConfig(
@@ -234,13 +235,16 @@ def test_bench_rejects_zero_repetitions():
         bench_multiply([8], [16], repetitions=0)
 
 
+ISI_CHANNEL = IsiChannel.from_probabilities(2, 1, [[0.9, 0.1], [0.7, 0.3], [0.3, 0.7], [0.1, 0.9]])
+
 CHUNKED_VARIANTS = [
     ("ml", DiscreteChannel.bsc(0.1)),
     ("ml", ContinuousChannel.awgn(0.8)),
     ("list", ContinuousChannel.awgn(0.8)),
     ("erasure", ErasureChannel(erasure_probability=0.3)),
     ("syndrome", DiscreteChannel.bsc(0.1)),
-    ("isi", IsiChannel.from_probabilities(2, 1, [[0.9, 0.1], [0.7, 0.3], [0.3, 0.7], [0.1, 0.9]])),
+    ("isi", ISI_CHANNEL),
+    ("list", ISI_CHANNEL),
 ]
 
 
@@ -286,7 +290,7 @@ def test_oracle_check_counts_every_wrong_decode(monkeypatch, variant, channel):
 
     def wrong(*args):
         result = decode(*args)
-        if variant == "list":  # Gaussian scores never tie, so a reversed list is wrong
+        if variant == "list":  # the top three scores never all tie here, so a reversed list is wrong
             return dataclasses.replace(result, indices=result.indices[:, ::-1])
         if variant == "syndrome":  # at distance 3, a codeword with one bit flipped is none
             flipped = result.codeword.copy()
