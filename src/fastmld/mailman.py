@@ -51,6 +51,18 @@ MAX_BLOCK_HEIGHT = 30
 #: Cap on rows*cols of a stored binary matrix (bits, not bytes).
 MAX_MATRIX_BITS = 2**31
 
+#: Bytes of one product tile's ``(S, B)`` gather, which bounds its ``(2^h, B)``
+#: table; a wider batch runs in tiles.  ``simulate`` sizes its chunks by the
+#: same 1 MiB of S scores, so a Monte Carlo chunk is one tile (32 vectors
+#: at S = 4096).
+_TILE_BYTES = 1 << 20
+
+#: Narrowest tile worth batching.  A table only a few vectors wide runs
+#: numpy's doubling and gathers in inner loops of that width: on a random
+#: [40, 16] code (S = 2^16, where a tile holds 2 vectors), batches of 2, 4
+#: and 8 cost 1.3-2.5 ms per row against 0.6-1.0 ms for single vectors.
+_MIN_TILE = 8
+
 # Column chunk budget (dense cells) used when unpacking big matrices.
 _DENSE_CHUNK_CELLS = 1 << 26
 
@@ -279,9 +291,26 @@ def vec_times_matrix(
     ``vector`` is one row ``(m,)`` or a batch ``(B, m)``; the result is
     ``(S,)`` or ``(B, S)``.  Per block and vector: tabulate the segment
     against every pattern (2^h - 1 additions), then add each column's
-    tabulated entry into the output (S additions).
+    tabulated entry into the output (S additions).  A batch runs in tiles
+    whose ``(S, tile)`` gather, and so their ``(2^h, tile)`` table
+    (2^h <= S), fits ``_TILE_BYTES``, or one vector at a time where such a
+    tile would be narrower than ``_MIN_TILE``.
     """
     vector, count = _check_vectors(vector, factorization.rows)
+    tile = _TILE_BYTES // (8 * factorization.cols)
+    step = tile if tile >= _MIN_TILE else 1
+    if count <= step:
+        return _product(vector, factorization, ops)
+    # A single vector's (S,) result stacks as one row of the batch.
+    return np.vstack([
+        _product(vector[start] if step == 1 else vector[start : start + step], factorization, ops)
+        for start in range(0, count, step)
+    ])
+
+
+def _product(vector: np.ndarray, factorization: MailmanFactorization, ops) -> np.ndarray:
+    """``vec_times_matrix`` on one vector or one tile of a batch."""
+    count = 1 if vector.ndim == 1 else vector.shape[0]
     # One column per vector, so tables and sums keep patterns on axis 0.
     columns = vector.T
     out = np.zeros((factorization.cols,) + columns.shape[1:], dtype=np.float64)

@@ -72,13 +72,10 @@ from .oracle import esd_decode, min_distance_decode, ranking_equivalent
 VARIANTS = ("ml", "list", "erasure", "syndrome", "isi")
 
 #: Byte budget for a chunk's largest per-trial array (see ``_chunk_trials``):
-#: 32 trials at S = 4096 and 8 at S = 2^14.
+#: 32 trials at S = 4096 and 8 at S = 2^14.  ``vec_times_matrix`` tiles a
+#: batch by the same 1 MiB of scores, so a chunk is one tile; where a tile
+#: would be too narrow to batch, the product runs one trial at a time.
 _CHUNK_BYTES = 1 << 20
-
-#: Fewest trials worth batching.  A product table only a few vectors wide
-#: runs numpy's doubling in inner loops of that width; at S = 2^16, chunks
-#: of 2 and 4 trials were slower per trial than single trials.
-_MIN_BATCH = 8
 
 _ERROR_RULES = {
     "ml": "transmitted_not_in_ties",
@@ -354,15 +351,14 @@ def _chunk_trials(channel, code, structure) -> int:
     row of ``codebook.rows`` entries, and, for a categorical channel, an
     ``(n, outputs)`` table of cumulative probabilities while sampling.  The
     largest of them sets the chunk, so a long code with few codewords gets
-    small chunks too.  Below ``_MIN_BATCH`` trials a chunk holds one.
+    small chunks too, and a chunk holds at least one trial.
     ``structure`` is what ``_prepare`` built, whose codebook is its first
     entry for syndrome decoding; ``code`` is read only for its length n.
     """
     codebook = structure[0] if isinstance(structure, tuple) else structure
     outputs = getattr(channel, "output_alphabet_size", 1)
     cells = max(codebook.cols, codebook.rows, code.n * outputs)
-    trials = _CHUNK_BYTES // (8 * cells)
-    return trials if trials >= _MIN_BATCH else 1
+    return max(1, _CHUNK_BYTES // (8 * cells))
 
 
 def _decode_chunk(config: SimConfig, code, linear, structure, observation, ops):

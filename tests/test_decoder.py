@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from fastmld import decoder
 from fastmld import (
     Code,
     ContinuousChannel,
@@ -174,6 +175,18 @@ def test_list_decode_size_range():
     for bad in (0, 5, -1):
         with pytest.raises(ListSizeOutOfRange):
             list_decode(codebook, code, toy_channel(), np.array([1, 1, 1]), bad)
+
+
+def test_list_size_must_be_an_integer():
+    code = toy_code()
+    codebook = build_codebook_matrix(code)
+    y = np.array([1, 2, 1])
+    for bad in (2.0, 2.5, np.float64(2.0), "2", None):
+        with pytest.raises(ListSizeOutOfRange):
+            list_decode(codebook, code, toy_channel(), y, bad)
+    expected = list_decode(codebook, code, toy_channel(), y, 2)
+    for size in (np.int64(2), np.int32(2), np.uint8(2)):
+        assert list_decode(codebook, code, toy_channel(), y, size) == expected
 
 
 def test_erasure_decode_unique_recovery():
@@ -522,7 +535,9 @@ def test_list_ranking_matches_lexsort_with_exact_ties_and_minus_infinity():
     chan = DiscreteChannel.from_probabilities([[0.5, 0.0, 0.5], [0.0, 0.5, 0.5]])
     rng = np.random.default_rng(34)
     ties_seen = minus_inf_seen = 0
-    for n in (4, 6, 8):
+    # n = 12 (S = 4096) ranks by selection, the shorter codes by the sort.
+    assert 2**8 <= decoder._SORT_MAX_COLS < 2**12
+    for n in (4, 6, 8, 12):
         code = Code(q=2, n=n, codewords=all_words(2, n))
         codebook = build_codebook_matrix(code)
         received = np.where(rng.random((12, n)) < 0.4, 3, rng.integers(1, 3, size=(12, n)))

@@ -1,0 +1,43 @@
+"""Property test: the list ranking is a prefix of the lexsort by (-score, index).
+
+Covers both ranking paths of ``decoder._top``: the stable sort up to
+``_SORT_MAX_COLS`` scores a row and the O(S) selection beyond, with exact
+ties and ``-inf`` forced in.  Kept apart from ``test_decoder.py`` because
+it needs ``hypothesis``.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fastmld import decoder
+
+CROSSOVER = decoder._SORT_MAX_COLS
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.one_of(
+        st.integers(1, 40),
+        st.integers(CROSSOVER - 1, CROSSOVER + 1),
+        st.integers(CROSSOVER + 2, 3 * CROSSOVER),
+    ),
+    batch=st.integers(0, 4),
+    levels=st.sampled_from([1, 2, 3, 8, 4096]),
+    inf_share=st.sampled_from([0.0, 0.2, 0.9, 1.0]),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_ranking_is_the_lexsort_prefix(width, batch, levels, inf_share, seed, data):
+    # batch 0 stands for one (S,) row.  Few levels force ties at every rank;
+    # 0.0 and -0.0 are one level, as the sort treats them.
+    rng = np.random.default_rng(seed)
+    shape = (width,) if batch == 0 else (batch, width)
+    values = np.concatenate(([0.0, -0.0], -rng.exponential(size=levels)))
+    scores = values[rng.integers(values.size, size=shape)]
+    scores[rng.random(shape) < inf_share] = -np.inf
+    size = data.draw(st.integers(1, width), label="size")
+    ranking = decoder._top(scores, size)
+    expected = [np.lexsort((np.arange(width), -row))[:size] for row in scores.reshape(-1, width)]
+    assert ranking.shape == shape[:-1] + (size,)
+    assert np.array_equal(ranking.reshape(-1, size), np.stack(expected))

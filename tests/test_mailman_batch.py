@@ -1,13 +1,15 @@
-"""Property test: a batched product equals the per-row products bit for bit.
+"""A batched product equals the per-row products bit for bit, in one table or in tiles.
 
 Kept apart from ``test_mailman.py`` because it needs ``hypothesis`` (the
 ``test`` extra), which the kernel's other tests do not.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fastmld.mailman as mailman
 from fastmld import (
     OpCount,
     build_codebook_matrix,
@@ -46,3 +48,33 @@ def test_batched_product_equals_per_row_bitwise(q, n, log2_size, batch, with_inf
         assert batch_ops == row_ops
     if codebook.factorization is not None:
         assert batch_ops.additions == batch * op_count(codebook.factorization).additions
+
+
+@pytest.mark.parametrize(
+    "tile, widths", [(8, [8] * 5 + [5]), (3, [1] * 45), (20, [20, 20, 5])]
+)
+def test_tiled_batch_equals_per_row_bitwise(monkeypatch, tile, widths):
+    # At S = 4096 each vector of a tile gathers 2^12 scores.  A budget of 3
+    # such columns is too narrow to batch, so those vectors run one at a time.
+    rng = np.random.default_rng(35)
+    codebook = build_codebook_matrix(random_code(rng, 2, 14, 4096))
+    vectors = rng.standard_normal((45, codebook.rows))
+    vectors[rng.random(vectors.shape) < 0.05] = -np.inf
+    row_ops = OpCount()
+    rows = np.stack([vec_times_matrix(v, codebook.factorization, row_ops) for v in vectors])
+    tiles = []
+    monkeypatch.setattr(mailman, "_product", _recording(mailman._product, tiles))
+    monkeypatch.setattr(mailman, "_TILE_BYTES", 8 * 2**12 * tile)
+    batch_ops = OpCount()
+    batched = vec_times_matrix(vectors, codebook.factorization, batch_ops)
+    assert np.array_equal(batched, rows)
+    assert batch_ops == row_ops
+    assert tiles == widths
+
+
+def _recording(product, tiles):
+    def recorded(vector, factorization, ops):
+        tiles.append(1 if vector.ndim == 1 else vector.shape[0])
+        return product(vector, factorization, ops)
+
+    return recorded

@@ -322,7 +322,7 @@ def test_chunk_size_follows_the_largest_per_trial_array():
     assert chunk == simulate._CHUNK_BYTES // (8 * 4000)
     config = SimConfig(code_source=code, channel=channel, trials=300, seed=3)
     assert run_monte_carlo(config).word_errors == 0
-    # Wide score rows: 8 trials at S = 2^14, then too few to batch.
-    for cols, expected in ((1 << 14, 8), (1 << 15, 1), (1 << 24, 1)):
+    # Wide score rows: 8 trials at S = 2^14, fewer beyond, never none.
+    for cols, expected in ((1 << 14, 8), (1 << 15, 4), (1 << 24, 1)):
         shaped = dataclasses.replace(codebook, rows=6, cols=cols)
         assert simulate._chunk_trials(channel, toy_code(), shaped) == expected
