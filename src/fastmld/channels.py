@@ -332,9 +332,11 @@ def sample_channel(channel, codeword: np.ndarray, rng) -> np.ndarray | ErasureOb
     single-word calls would draw in turn.
     """
     rng = np.random.default_rng(rng)
-    if isinstance(channel, DiscreteChannel):
-        word = validate_symbols(channel.q, codeword)
-        return _sample_categorical(channel.log_transition, word - 1, rng)
+    if isinstance(channel, (DiscreteChannel, IsiChannel)):
+        # A memoryless channel's row is the tuple index at memory 0: symbol - 1.
+        memory, initial = getattr(channel, "memory", 0), getattr(channel, "initial_symbol", 1)
+        idx = tuple_indices(channel.q, memory, codeword, initial)
+        return _sample_categorical(channel.log_transition, idx, rng)
     if isinstance(channel, ContinuousChannel):
         word = validate_symbols(channel.q, codeword)
         points = channel.constellation[word - 1]
@@ -344,8 +346,5 @@ def sample_channel(channel, codeword: np.ndarray, rng) -> np.ndarray | ErasureOb
         bits = word - 1
         erased = rng.random(word.shape) < channel.erasure_probability
         return ErasureObservation(values=np.where(erased, ERASED, bits))
-    if isinstance(channel, IsiChannel):
-        idx = tuple_indices(channel.q, channel.memory, codeword, channel.initial_symbol)
-        return _sample_categorical(channel.log_transition, idx, rng)
     msg = f"cannot sample from channel type {type(channel).__name__}"
     raise InvalidParams(msg)

@@ -28,11 +28,20 @@ one ``(2^h, B)`` table (patterns along the first axis, so a column's gather
 copies B contiguous values) -- the Four Russians idea applied to many
 vectors.  Every vector goes through the same additions in the same order as
 it would alone, so batched results equal the per-vector ones bit for bit.
+A batch runs in a per-thread workspace that outlives the call: the
+``(S, B)`` accumulator, the ``(2^h, B)`` table and the ``(S, B)`` gather.
+Each is one ``_TILE_BYTES`` buffer (1 MiB), so a thread that has run a
+batched product holds 3 MiB; its first such product allocates them.  With
+fresh arrays per call, glibc handed each freed heap top back to the kernel
+and the next call faulted the same pages in again: about 3000 minor faults
+per 250-trial Golay Monte Carlo call.  A result is always a fresh array,
+never a view of the workspace.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,11 +255,12 @@ def factorize(
     return MailmanFactorization(rows=len(entry), cols=cols, blocks=blocks)
 
 
-def vec_times_universal(weights: np.ndarray) -> np.ndarray:
+def vec_times_universal(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Row vector(s) times the universal matrix of height ``h``.
 
     ``weights`` is one vector ``(h,)`` or B vectors stored column-wise,
-    ``(h, B)``; the result is ``(2^h,)`` or ``(2^h, B)``.  Column j of the
+    ``(h, B)``; the result is ``(2^h,)`` or ``(2^h, B)``, written into
+    ``out`` when given (a float64 array of that shape).  Column j of the
     universal matrix is the binary expansion of j with the most-significant
     bit in the first row, so output[j] is the sum of the weights at j's set
     bits.  Built by doubling in place: 2^h - 1 additions per vector.
@@ -263,7 +273,12 @@ def vec_times_universal(weights: np.ndarray) -> np.ndarray:
     if not 1 <= h <= MAX_BLOCK_HEIGHT:
         msg = f"universal height {h} outside [1, {MAX_BLOCK_HEIGHT}]"
         raise HeightOutOfRange(msg)
-    out = np.empty((1 << h,) + weights.shape[1:], dtype=np.float64)
+    shape = (1 << h,) + weights.shape[1:]
+    if out is None:
+        out = np.empty(shape, dtype=np.float64)
+    elif out.shape != shape or out.dtype != np.float64:
+        msg = f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}"
+        raise InvalidParams(msg)
     out[0] = 0.0
     size = 1
     for w in weights[::-1]:
@@ -310,20 +325,58 @@ def vec_times_matrix(
 
 def _product(vector: np.ndarray, factorization: MailmanFactorization, ops) -> np.ndarray:
     """``vec_times_matrix`` on one vector or one tile of a batch."""
-    count = 1 if vector.ndim == 1 else vector.shape[0]
+    cols = factorization.cols
+    if vector.ndim == 1:
+        out = np.zeros(cols, dtype=np.float64)
+        for block in factorization.blocks:
+            table = vec_times_universal(vector[block.row_offset : block.row_offset + block.height])
+            out += np.take(table, block.correspondence)
+            if ops is not None:
+                ops.additions += (1 << block.height) - 1 + cols
+        return out
+    count = vector.shape[0]
     # One column per vector, so tables and sums keep patterns on axis 0.
     columns = vector.T
-    out = np.zeros((factorization.cols,) + columns.shape[1:], dtype=np.float64)
-    for block in factorization.blocks:
-        table = vec_times_universal(columns[block.row_offset : block.row_offset + block.height])
+    total = _buffer("total", cols * count).reshape(cols, count)
+    gather = _buffer("gather", cols * count).reshape(cols, count)
+    if not factorization.blocks:
+        total[...] = 0.0
+    for index, block in enumerate(factorization.blocks):
+        rows = columns[block.row_offset : block.row_offset + block.height]
+        table = _buffer("table", count << block.height).reshape(1 << block.height, count)
+        vec_times_universal(rows, out=table)
         # np.take copies whole rows; fancy indexing of a narrow 2-d table
-        # runs element by element and is several times slower.
-        out += np.take(table, block.correspondence, axis=0)
+        # runs element by element and is several times slower.  With
+        # mode="raise" it would write to a hidden copy of ``out``; every
+        # pattern index is in range, so "clip" clips nothing.  The first
+        # block's gather is the sum so far: 0.0 + x == x, as no table
+        # entry is -0.0 (each is +0.0 plus weights).
+        np.take(table, block.correspondence, axis=0, out=gather if index else total, mode="clip")
+        if index:
+            np.add(total, gather, out=total)
         if ops is not None:
-            ops.additions += count * ((1 << block.height) - 1 + factorization.cols)
-    # Row-major (B, S), so per-row scans of the scores run over contiguous
-    # memory; a strided view made the argmax and ranking several times slower.
-    return np.ascontiguousarray(out.T)
+            ops.additions += count * ((1 << block.height) - 1 + cols)
+    # A fresh row-major (B, S): per-row scans of the scores then run over
+    # contiguous memory, and the result never aliases the workspace.
+    return total.T.copy()
+
+
+#: Per-thread buffers of batched products.  numpy releases the GIL inside
+#: ``take`` and ``add``, so threads must not share them.
+_workspace = threading.local()
+
+
+def _buffer(name: str, size: int) -> np.ndarray:
+    """The first ``size`` entries of this thread's float64 buffer ``name``.
+
+    A buffer holds ``_TILE_BYTES`` at least and grows when a tile needs
+    more (``_TILE_BYTES`` may have changed since it was made).
+    """
+    buffer = getattr(_workspace, name, None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(max(size, _TILE_BYTES // 8), dtype=np.float64)
+        setattr(_workspace, name, buffer)
+    return buffer[:size]
 
 
 def vec_times_matrix_naive(
