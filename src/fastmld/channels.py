@@ -333,9 +333,9 @@ def sample_channel(channel, codeword: np.ndarray, rng) -> np.ndarray | ErasureOb
     """
     rng = np.random.default_rng(rng)
     if isinstance(channel, (DiscreteChannel, IsiChannel)):
-        # A memoryless channel's row is the tuple index at memory 0: symbol - 1.
-        memory, initial = getattr(channel, "memory", 0), getattr(channel, "initial_symbol", 1)
-        idx = tuple_indices(channel.q, memory, codeword, initial)
+        memory = channel.memory if isinstance(channel, IsiChannel) else 0
+        # At memory 0 the tuple index is symbol - 1, whatever the initial symbol.
+        idx = tuple_indices(channel.q, memory, codeword, channel.initial_symbol if memory else 1)
         return _sample_categorical(channel.log_transition, idx, rng)
     if isinstance(channel, ContinuousChannel):
         word = validate_symbols(channel.q, codeword)

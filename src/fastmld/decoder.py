@@ -8,8 +8,7 @@ only in the vector they build: log-likelihoods for ``ml_decode`` and
 ``list_decode``, +1/-1/0 for ``erasure_decode`` (against the bit layout,
 then ``2*(v @ B) - sum(v)``), and syndrome bits for ``syndrome_decode``.
 A list decode is the same product plus its ranking: a stable sort up to
-``_SORT_MAX_COLS`` codewords, and above that (or for a large enough batch
-from 128 codewords) an O(S) top-L selection.
+``_SORT_MAX_COLS`` codewords, and above that an O(S) top-L selection.
 ml, list and isi score on the one-hot codebook of the channel's memory:
 a channel with memory is priced per (symbol, predecessors) tuple, so ISI
 decoding is ``ml_decode`` on ``build_codebook_matrix_isi``, and
@@ -63,17 +62,10 @@ from .mailman import OpCount, vec_times_matrix
 #: L = 4 and tied BSC scores, best of 9: a single row sorts faster up to
 #: S = 1024 (23-25 us against 38-40 us) and selects faster from S = 2048
 #: (47-49 us against 68-71 us; 58-64 against 167-178 us at S = 4096).
+#: Batches of 8 rows select faster from S = 256 and 1 MiB batches from
+#: S = 128, but no benchmark workload ranks batches that narrow, so they
+#: keep the sort until one does.
 _SORT_MAX_COLS = 1024
-
-#: A batch of rows at least ``_SELECT_MIN_COLS`` wide that holds at least
-#: ``_SELECT_MIN_CELLS`` scores takes the selection below that width too.
-#: Same timing, sort against select: 8 rows of 512 scores 131-146 against
-#: 47-68 us, 16 of 256 113-140 against 53-58 us, 32 of 128 116-138 against
-#: 69-72 us, 128 of 1024 5.4-5.6 against 1.0 ms; at 2048 scores 16 rows of
-#: 128 sort faster (45 against 51 us) and 8 of 256 break even.  Narrower
-#: rows (Hamming's 16 codewords) keep the sort, which no timing here covers.
-_SELECT_MIN_COLS = 128
-_SELECT_MIN_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -225,8 +217,7 @@ def _top(scores: np.ndarray, size: int) -> np.ndarray:
     Ranks by score descending with ascending index breaking ties, ``-inf``
     last: a prefix of ``np.lexsort((index, -scores))``, for ``(S,)`` or
     ``(B, S)`` scores.  Rows of at most ``_SORT_MAX_COLS`` scores take a
-    stable sort of the negated scores (negation is exact), unless a batch
-    of them is large enough for the selection to win.  Other rows find
+    stable sort of the negated scores (negation is exact).  Wider rows find
     their ``size``-th best score by partition, keep every better score and
     the lowest-indexed scores equal to it until ``size`` are kept, and sort
     only those: O(S) per row, and the same indices, because the kept set is
@@ -234,7 +225,7 @@ def _top(scores: np.ndarray, size: int) -> np.ndarray:
     too, on the kept candidates and the scores tied with them.
     """
     width = scores.shape[-1]
-    if width <= _SORT_MAX_COLS and (width < _SELECT_MIN_COLS or scores.size < _SELECT_MIN_CELLS):
+    if width <= _SORT_MAX_COLS:
         return np.argsort(-scores, axis=-1, kind="stable")[..., :size]
     rows = scores.reshape(-1, width)
     count = rows.shape[0]

@@ -342,20 +342,26 @@ def _product(vector: np.ndarray, factorization: MailmanFactorization, ops) -> np
     if not factorization.blocks:
         total[...] = 0.0
     for index, block in enumerate(factorization.blocks):
+        # With mode="raise", np.take would write to a hidden copy of
+        # ``out``, so the gather wraps instead and this refuses what
+        # "raise" refuses: a pattern index outside [-2^h, 2^h).  Batched
+        # and single products then agree on every index, valid or not.
+        size = 1 << block.height
+        if block.correspondence.min() < -size or block.correspondence.max() >= size:
+            msg = f"pattern index out of bounds for the {size} patterns of a block"
+            raise IndexError(msg)
         rows = columns[block.row_offset : block.row_offset + block.height]
-        table = _buffer("table", count << block.height).reshape(1 << block.height, count)
+        table = _buffer("table", count * size).reshape(size, count)
         vec_times_universal(rows, out=table)
         # np.take copies whole rows; fancy indexing of a narrow 2-d table
-        # runs element by element and is several times slower.  With
-        # mode="raise" it would write to a hidden copy of ``out``; every
-        # pattern index is in range, so "clip" clips nothing.  The first
+        # runs element by element and is several times slower.  The first
         # block's gather is the sum so far: 0.0 + x == x, as no table
         # entry is -0.0 (each is +0.0 plus weights).
-        np.take(table, block.correspondence, axis=0, out=gather if index else total, mode="clip")
+        np.take(table, block.correspondence, axis=0, out=gather if index else total, mode="wrap")
         if index:
             np.add(total, gather, out=total)
         if ops is not None:
-            ops.additions += count * ((1 << block.height) - 1 + cols)
+            ops.additions += count * (size - 1 + cols)
     # A fresh row-major (B, S): per-row scans of the scores then run over
     # contiguous memory, and the result never aliases the workspace.
     return total.T.copy()

@@ -4,10 +4,12 @@ A batched tile tabulates, gathers and sums in buffers each thread keeps
 between calls (``mailman._workspace``).  These tests pin what that reuse
 must not change: results equal fresh sequential ones bit for bit under
 concurrent threads, a returned array never changes under a later call,
-a call allocates little beyond its result, and the buffers grow when
-``_TILE_BYTES`` grows.
+a call allocates little beyond its result, the buffers grow when
+``_TILE_BYTES`` grows, and the batched gather takes the pattern indices
+the single-vector one takes and refuses the rest.
 """
 
+import dataclasses
 import sys
 import threading
 import tracemalloc
@@ -161,6 +163,31 @@ def test_workspace_grows_when_the_tile_budget_changes(monkeypatch, order):
 
     for result in _run_in_thread(products):
         assert np.array_equal(result, expected)
+
+
+@pytest.mark.parametrize(
+    ("scale", "shift", "refused"), [(1, 0, True), (-1, -1, True), (0, -1, False), (-1, 0, False)]
+)
+def test_batched_and_single_products_agree_on_any_pattern_index(scale, shift, refused):
+    # numpy's take reads an index in [-2^h, 2^h) and refuses one outside;
+    # a hand-made block may hold either.
+    rng = np.random.default_rng(75)
+    factorization = build_codebook_matrix(random_code(rng, 2, 9, 300)).factorization
+    block = factorization.blocks[0]
+    correspondence = block.correspondence.copy()
+    correspondence[7] = scale * (1 << block.height) + shift
+    made = dataclasses.replace(
+        factorization,
+        blocks=(dataclasses.replace(block, correspondence=correspondence),) + factorization.blocks[1:],
+    )
+    vectors = rng.standard_normal((4, factorization.rows))
+    if refused:
+        for vector in (vectors[0], vectors):
+            with pytest.raises(IndexError):
+                vec_times_matrix(vector, made)
+    else:
+        singles = np.stack([vec_times_matrix(v, made) for v in vectors])
+        assert np.array_equal(vec_times_matrix(vectors, made), singles)
 
 
 def test_universal_product_writes_into_out():
