@@ -19,7 +19,6 @@ arithmetic shifts to 0-based immediately on entry.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,9 +39,6 @@ from .mailman import (
 
 #: Cap on the number of codewords an enumeration may materialize.
 MAX_CODEWORDS = 2**24
-
-#: Error patterns per syndrome product in ``coset_leaders``.
-_SCAN_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -239,17 +235,6 @@ def random_linear_code(q: int, n: int, k: int, seed: int) -> LinearCode:
     raise InvalidParams(msg)
 
 
-def incidence_vector(q: int, codeword: np.ndarray) -> np.ndarray:
-    """Stacked one-hot encoding of a codeword: rows i*q + (c_i - 1) are 1."""
-    word = validate_symbols(q, codeword)
-    if word.ndim != 1:
-        msg = "a word must be a 1-d vector"
-        raise InvalidParams(msg)
-    out = np.zeros(word.shape[0] * q, dtype=np.uint8)
-    out[np.arange(word.shape[0]) * q + (word - 1)] = 1
-    return out
-
-
 def tuple_indices(
     q: int, memory: int, codeword: np.ndarray, initial_symbol: int = 1
 ) -> np.ndarray:
@@ -357,42 +342,29 @@ def syndrome(parity_check: np.ndarray, word: np.ndarray, q: int) -> np.ndarray:
     return (word @ parity_check.T) % q
 
 
-def _weight_class(n: int, q: int, weight: int) -> np.ndarray:
-    """All words of weight w >= 1 over F_q, one per row, in ascending lexicographic order.
-
-    Entries take the smallest unsigned type that holds q - 1, and supports
-    and values stream into arrays, with no Python tuple per word.
-    """
-    dtype = np.min_scalar_type(q - 1)
-    supports = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), weight)), dtype=np.intp
-    ).reshape(-1, weight)
-    values = np.fromiter(
-        itertools.chain.from_iterable(itertools.product(range(1, q), repeat=weight)), dtype=dtype
-    ).reshape(-1, weight)
-    words = np.zeros((supports.shape[0], values.shape[0], n), dtype=dtype)
-    words[
-        np.arange(supports.shape[0])[:, None, None],
-        np.arange(values.shape[0])[None, :, None],
-        supports[:, None, :],
-    ] = values[None, :, :]
-    words = words.reshape(-1, n)
-    # lexsort's last key is the primary one: the first coordinate.
-    return words[np.lexsort(words.T[::-1])]
-
-
 def coset_leaders(linear: LinearCode, parity_check: np.ndarray | None = None) -> np.ndarray:
     """Minimum-weight error pattern for every syndrome, indexed by syndrome.
 
     Row j is the leader whose syndrome, read as a base-q integer (first
-    syndrome coordinate most significant), equals j.  Candidates are
-    scanned in non-decreasing weight and, within a weight, ascending
-    lexicographic order, so the recorded leader is the lexicographically
-    smallest among minimum-weight patterns in its coset.  Each weight class
-    is scanned as one array, its syndromes taken ``_SCAN_ROWS`` patterns per
-    product, and each syndrome not seen at a lower weight takes its first
-    pattern in the class.  ``parity_check`` is the code's
-    ``parity_check_from_generator``, for a caller that already has it.
+    syndrome coordinate most significant), equals j: the lexicographically
+    smallest among the minimum-weight patterns of its coset.
+    ``parity_check`` is the code's ``parity_check_from_generator``, for a
+    caller that already has it.
+
+    Weight classes are scanned in ascending weight, each grown from the
+    leaders of the class below and already in ascending lexicographic
+    order, with no sort.  A word with support s_1 < ... < s_w and values
+    v_1..v_w sorts by (-s_1, v_1, -s_2, v_2, ...).  So when parents come in
+    ascending order and each is followed by its children, one per later
+    position taken in descending order and per nonzero value taken in
+    ascending order, the children come in ascending order too, and
+    ``np.unique``'s first occurrence of a syndrome not seen at a lower
+    weight is that coset's leader.  Only leaders need children: a leader
+    without its last nonzero symbol leads its own coset, since a lighter
+    or smaller pattern there would, with that symbol added back, be a
+    lighter or smaller pattern in the leader's coset.  A child's syndrome
+    digits are its parent's plus one column of value * H, mod q, in the
+    smallest unsigned type that holds 2(q - 1).
     """
     q, n, k = linear.q, linear.n, linear.k
     r = n - k
@@ -404,26 +376,40 @@ def coset_leaders(linear: LinearCode, parity_check: np.ndarray | None = None) ->
     if h.shape != (r, n):
         msg = f"parity checks of shape {h.shape} do not match an [{n}, {k}] code"
         raise InvalidParams(msg)
-    powers = q ** np.arange(r - 1, -1, -1, dtype=np.int64)
-    # Row 0 keeps the zero pattern, which leads the code itself.
-    leaders = np.zeros((count, n), dtype=np.int64)
+    digit = np.min_scalar_type(2 * q - 2)
+    powers = q ** np.arange(r - 1, -1, -1, dtype=np.min_scalar_type(count - 1))
+    # Step s sets value 1 + s % (q - 1) at position n - 1 - s // (q - 1).
+    positions, values = np.divmod(np.arange(n * (q - 1)), q - 1)
+    positions = n - 1 - positions
+    values += 1
+    columns = (h[:, positions] * values % q).astype(digit)
+    leaders = np.zeros((count, n), dtype=np.min_scalar_type(q - 1))
     seen = np.zeros(count, dtype=bool)
+    # The one parent of weight 1 is the zero pattern, which leads the code.
     seen[0] = True
+    parents = np.zeros(1, dtype=powers.dtype)
+    last = np.array([-1])
+    parent_digits = np.zeros((r, 1), dtype=digit)
     found = 1
-    for weight in range(1, n + 1):
-        if found == count:
-            break
-        words = _weight_class(n, q, weight)
-        # The product runs on int64 rows, so take it a bounded slice at a time.
-        keys = np.empty(words.shape[0], dtype=np.int64)
-        for lo in range(0, words.shape[0], _SCAN_ROWS):
-            keys[lo : lo + _SCAN_ROWS] = ((words[lo : lo + _SCAN_ROWS] @ h.T) % q) @ powers
+    while found < count and parents.size:
+        # A parent's children take the steps at positions after its last one.
+        parent, step = np.nonzero(positions > last[:, None])
+        digits = parent_digits[:, parent] + columns[:, step]
+        # Unsigned x - q wraps below zero, so min(x, x - q) = x mod q.
+        np.minimum(digits, digits - q, out=digits)
+        keys = np.einsum("i,ic->c", powers, digits)
         syndromes, first = np.unique(keys, return_index=True)
-        fresh = ~seen[syndromes]
-        leaders[syndromes[fresh]] = words[first[fresh]]
-        seen[syndromes[fresh]] = True
-        found += int(fresh.sum())
-    return leaders
+        # Back in scan order, the new leaders are the next class's parents.
+        fresh = np.sort(first[~seen[syndromes]])
+        children, step = keys[fresh], step[fresh]
+        last = positions[step]
+        leaders[children] = leaders[parents[parent[fresh]]]
+        leaders[children, last] = values[step]
+        seen[children] = True
+        found += fresh.size
+        parents = children
+        parent_digits = digits[:, fresh]
+    return leaders.astype(np.int64)
 
 
 def build_syndrome_matrix(

@@ -63,6 +63,14 @@ def random_code(rng, q: int, n: int, size: int) -> Code:
     return Code(q=q, n=n, codewords=digits + 1)
 
 
+def incidence_vector(q: int, codeword: np.ndarray) -> np.ndarray:
+    """Stacked one-hot encoding of a codeword: rows i*q + (c_i - 1) are 1."""
+    word = np.asarray(codeword)
+    out = np.zeros(word.shape[0] * q, dtype=np.uint8)
+    out[np.arange(word.shape[0]) * q + (word - 1)] = 1
+    return out
+
+
 def dense_codebook(per_position: np.ndarray, block_size: int) -> np.ndarray:
     """Reference codebook as a dense 0/1 matrix.
 

@@ -1,11 +1,13 @@
-"""The committed benchmark still runs against the package: a short traced run.
+"""The committed benchmark still runs against the package, and its checks hold.
 
 The benchmark drives the program through public names (``ml_decode`` with
 ``ops=``, ``isi_ml_decode``, ``build_bipolar_codebook`` ...), labels its
 per-layer metrics by the names of traced calls, and checks the product's
-addition tally.  A change that breaks any of these fails here, before the
-benchmark itself is run.  The run writes under the git-ignored
-``perfbench/out/``.
+addition tally.  A change that breaks any of these fails a short traced
+run here, before the benchmark itself is run.  The run writes under the
+git-ignored ``perfbench/out/``.  The benchmark's own tests, which show that
+each check rejects a corrupted result, run here too, since ``perfbench/``
+is outside the collected test paths.
 """
 
 import json
@@ -43,3 +45,14 @@ def test_traced_hamming_run_reports_every_per_layer_metric_and_no_failure():
     names = [metric["name"] for metric in declared]
     assert len(names) == 24
     assert set(names) <= set(result["metrics"])
+
+
+def test_benchmark_checks_reject_corrupted_results():
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "perfbench/test_checks.py"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fastmld.codes as codes_mod
 from fastmld import (
@@ -17,7 +20,6 @@ from fastmld import (
     build_codebook_matrix_isi,
     coset_leaders,
     enumerate_codewords,
-    incidence_vector,
     parity_check_from_generator,
     random_linear_code,
     syndrome,
@@ -30,6 +32,7 @@ from helpers import (
     dense_codebook,
     golay_code,
     hamming_code,
+    incidence_vector,
     random_code,
     rep3_code,
     toy_code,
@@ -355,8 +358,12 @@ def _coset_leaders_by_scan(linear):
         random_linear_code(2, 12, 12, seed=6),
         random_linear_code(3, 8, 4, seed=7),
         random_linear_code(5, 6, 3, seed=8),
+        # Found by search: in the coset of syndrome 41 the two smallest
+        # minimum-weight patterns, 12200 and 20021, share their first
+        # nonzero position and differ in its value.
+        LinearCode(q=3, n=5, k=1, generator=np.array([[2, 2, 2, 1, 2]])),
     ],
-    ids=["hamming", "golay", "random-15-7", "full-12-12", "ternary-8-4", "q5-6-3"],
+    ids=["hamming", "golay", "random-15-7", "full-12-12", "ternary-8-4", "q5-6-3", "ternary-5-1"],
 )
 def test_coset_leaders_match_the_pattern_by_pattern_scan(linear):
     leaders = coset_leaders(linear)
@@ -366,3 +373,33 @@ def test_coset_leaders_match_the_pattern_by_pattern_scan(linear):
     np.testing.assert_array_equal(coset_leaders(linear, checks), leaders)
     with pytest.raises(InvalidParams):
         coset_leaders(linear, checks[:, 1:])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 5, 7]),
+    n=st.integers(1, 12),
+    redundancy=st.integers(0, 11),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(q=2, n=12, redundancy=0, seed=1)
+@example(q=3, n=7, redundancy=1, seed=2)
+@example(q=5, n=5, redundancy=0, seed=3)
+@example(q=7, n=4, redundancy=1, seed=4)
+def test_coset_leaders_match_the_scan_on_random_codes(q, n, redundancy, seed):
+    n = min(n, {2: 12, 3: 7, 5: 5, 7: 4}[q])  # q^n <= 4096 patterns to scan
+    linear = random_linear_code(q, n, max(1, n - redundancy), seed)
+    np.testing.assert_array_equal(coset_leaders(linear), _coset_leaders_by_scan(linear))
+
+
+def test_coset_leaders_peak_memory_stays_under_the_dense_scan():
+    # A dense scan, one (patterns, n) table per weight class sorted by
+    # lexsort, peaked at 17.9 MiB of Python allocations on this code.
+    linear = random_linear_code(2, 24, 10, seed=3)
+    tracemalloc.start()
+    try:
+        coset_leaders(linear)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17.9 * 2**20
