@@ -4,9 +4,7 @@ Every ``build_*`` factorizes from the codewords' per-position symbols and
 a row map, with no dense or packed matrix.  These tests rebuild each
 layout densely (``helpers.dense_codebook``) and check that the direct
 factorization has the same blocks, offsets and pattern indices as
-factorizing that dense matrix, and as bit weights times its bits.  Kept
-apart from ``test_codes.py`` because the property test needs
-``hypothesis``.
+factorizing that dense matrix, and as bit weights times its bits.
 """
 
 import tracemalloc
