@@ -34,10 +34,11 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 ERASED = -1
 
 
-def _log_table(probabilities: np.ndarray, rows: int, cols: int) -> np.ndarray:
+def _log_table(probabilities: np.ndarray) -> np.ndarray:
+    """Read-only log of a 2-d transition table; the channel checks its shape."""
     table = np.asarray(probabilities, dtype=np.float64)
-    if table.shape != (rows, cols):
-        msg = f"transition table must be ({rows}, {cols}), got {table.shape}"
+    if table.ndim != 2:
+        msg = "transition table must be 2-d"
         raise InvalidParams(msg)
     if np.isnan(table).any() or (table < 0).any():
         msg = "transition probabilities must be non-negative and not NaN"
@@ -89,12 +90,9 @@ class DiscreteChannel:
 
     @classmethod
     def from_probabilities(cls, probabilities: np.ndarray) -> "DiscreteChannel":
-        table = np.asarray(probabilities, dtype=np.float64)
-        if table.ndim != 2:
-            msg = "transition table must be 2-d"
-            raise InvalidParams(msg)
-        q, out = table.shape
-        return cls(q=q, output_alphabet_size=out, log_transition=_log_table(table, q, out))
+        logs = _log_table(probabilities)
+        q, out = logs.shape
+        return cls(q=q, output_alphabet_size=out, log_transition=logs)
 
     @classmethod
     def bsc(cls, crossover: float) -> "DiscreteChannel":
@@ -198,7 +196,7 @@ class ErasureObservation:
         if values.ndim not in (1, 2) or values.shape[-1] < 1:
             msg = "an observation must be a non-empty (n,) vector or a (B, n) batch"
             raise InvalidParams(msg)
-        if not np.isin(values, (0, 1, ERASED)).all():
+        if values.size and (values.min() < ERASED or values.max() > 1):
             msg = "erasure observations hold only 0, 1, or the erasure marker"
             raise ObservationOutOfAlphabet(msg)
         values.setflags(write=False)
@@ -264,16 +262,11 @@ class IsiChannel:
     def from_probabilities(
         cls, q: int, memory: int, probabilities: np.ndarray, initial_symbol: int = 1
     ) -> "IsiChannel":
-        rows = q ** (memory + 1)
-        table = np.asarray(probabilities, dtype=np.float64)
-        if table.ndim != 2:
-            msg = "transition table must be 2-d"
-            raise InvalidParams(msg)
-        logs = _log_table(table, rows, table.shape[1])
+        logs = _log_table(probabilities)
         return cls(
             q=q,
             memory=memory,
-            output_alphabet_size=table.shape[1],
+            output_alphabet_size=logs.shape[1],
             log_transition=logs,
             initial_symbol=initial_symbol,
         )
@@ -299,7 +292,7 @@ def conditional_probability_vector(channel, received: np.ndarray) -> np.ndarray:
     """
     if isinstance(channel, (DiscreteChannel, IsiChannel)):
         y = _check_discrete_observation(channel.output_alphabet_size, received)
-        return channel.log_transition.T[y - 1].reshape(y.shape[:-1] + (-1,))
+        return channel.log_transition.T.take(y - 1, axis=0).reshape(y.shape[:-1] + (-1,))
     if isinstance(channel, ContinuousChannel):
         density = channel.log_density(received)
         return density.reshape(density.shape[:-2] + (-1,))
@@ -316,10 +309,19 @@ def bipolar_received_vector(observation: ErasureObservation) -> np.ndarray:
 def _sample_categorical(
     log_rows: np.ndarray, row_index: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    cumulative = np.cumsum(np.exp(log_rows), axis=1)[row_index]
-    draws = rng.random(row_index.shape + (1,))
-    picks = (draws > cumulative).sum(axis=-1)
-    return np.minimum(picks, log_rows.shape[1] - 1) + 1
+    """Inversion by sequential search, one output per entry of ``row_index``.
+
+    An output is 1 plus the number of its row's cumulative sums that its
+    draw exceeds, counted a column at a time.  The sums never decrease, so a
+    draw above the last one (which may round below 1.0) exceeds them all:
+    skipping that column caps the output at ``outputs``.
+    """
+    cumulative = np.cumsum(np.exp(log_rows), axis=1)
+    draws = rng.random(row_index.shape)
+    picks = np.ones(row_index.shape, dtype=np.int64)
+    for column in cumulative.T[:-1]:
+        picks += draws > column.take(row_index)
+    return picks
 
 
 def sample_channel(channel, codeword: np.ndarray, rng) -> np.ndarray | ErasureObservation:

@@ -154,7 +154,7 @@ def _cmd_decode(args, parser) -> int:
         tie_tolerance=getattr(args, "tie_tol", 0.0),
         oracle_check=args.oracle,
     )
-    chunk = simulate._chunk_trials(channel, shape, structure)
+    chunk = simulate._chunk_trials(structure)
     status = 0
     for start in range(0, len(words), chunk):
         batch = words[start : start + chunk]

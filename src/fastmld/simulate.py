@@ -312,7 +312,7 @@ def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, 
     """
     variant = config.variant
     channel = config.channel
-    chunk = _chunk_trials(channel, code, structure)
+    chunk = _chunk_trials(structure)
     tally = _Tally()
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
@@ -343,22 +343,19 @@ def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, 
     return tally
 
 
-def _chunk_trials(channel, code, structure) -> int:
+def _chunk_trials(structure) -> int:
     """How many trials (or received words) a chunk holds within ``_CHUNK_BYTES``.
 
-    Each trial of a chunk keeps three arrays of 8-byte entries: its S
-    scores (the product's tables and gathers are no larger), its likelihood
-    row of ``codebook.rows`` entries, and, for a categorical channel, an
-    ``(n, outputs)`` table of cumulative probabilities while sampling.  The
-    largest of them sets the chunk, so a long code with few codewords gets
-    small chunks too, and a chunk holds at least one trial.
+    Each trial of a chunk keeps two arrays of 8-byte entries: its S scores
+    (the product's tables and gathers are no larger) and its likelihood row
+    of ``codebook.rows`` >= 2n entries; sampling keeps only length-n rows.
+    The larger of the two sets the chunk, so a long code with few codewords
+    gets small chunks too, and a chunk holds at least one trial.
     ``structure`` is what ``_prepare`` built, whose codebook is its first
-    entry for syndrome decoding; ``code`` is read only for its length n.
+    entry for syndrome decoding.
     """
     codebook = structure[0] if isinstance(structure, tuple) else structure
-    outputs = getattr(channel, "output_alphabet_size", 1)
-    cells = max(codebook.cols, codebook.rows, code.n * outputs)
-    return max(1, _CHUNK_BYTES // (8 * cells))
+    return max(1, _CHUNK_BYTES // (8 * max(codebook.cols, codebook.rows)))
 
 
 def _decode_chunk(config: SimConfig, code, linear, structure, observation, ops):

@@ -109,3 +109,11 @@ def assert_factorization_of(fact, dense: np.ndarray) -> None:
         assert got.correspondence.dtype == via_bits.correspondence.dtype == np.int64
         np.testing.assert_array_equal(got.correspondence, via_bits.correspondence)
         np.testing.assert_array_equal(got.correspondence, patterns)
+
+
+def sample_categorical_by_table(log_rows: np.ndarray, row_index: np.ndarray, rng) -> np.ndarray:
+    """Reference sampler: each draw against its row of a gathered ``(..., outputs)`` cumulative table."""
+    cumulative = np.cumsum(np.exp(log_rows), axis=1)[row_index]
+    draws = rng.random(row_index.shape + (1,))
+    picks = (draws > cumulative).sum(axis=-1)
+    return np.minimum(picks, log_rows.shape[1] - 1) + 1

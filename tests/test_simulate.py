@@ -314,15 +314,15 @@ def test_oracle_check_counts_every_wrong_decode(monkeypatch, variant, channel):
 
 def test_chunk_size_follows_the_largest_per_trial_array():
     # A [2000, 1] repetition code scores only S = 2 codewords, but each
-    # trial's likelihood row and sampling table hold 4000 entries.
+    # trial's likelihood row holds 4000 entries.
     code = Code(q=2, n=2000, codewords=np.array([[1] * 2000, [2] * 2000]))
     channel = DiscreteChannel.bsc(0.1)
     codebook = build_codebook_matrix(code)
-    chunk = simulate._chunk_trials(channel, code, codebook)
+    chunk = simulate._chunk_trials(codebook)
     assert chunk == simulate._CHUNK_BYTES // (8 * 4000)
     config = SimConfig(code_source=code, channel=channel, trials=300, seed=3)
     assert run_monte_carlo(config).word_errors == 0
     # Wide score rows: 8 trials at S = 2^14, fewer beyond, never none.
     for cols, expected in ((1 << 14, 8), (1 << 15, 4), (1 << 24, 1)):
         shaped = dataclasses.replace(codebook, rows=6, cols=cols)
-        assert simulate._chunk_trials(channel, toy_code(), shaped) == expected
+        assert simulate._chunk_trials(shaped) == expected
