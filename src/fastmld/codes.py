@@ -43,7 +43,7 @@ MAX_CODEWORDS = 2**24
 
 @dataclass(frozen=True)
 class Code:
-    """An arbitrary block code: S distinct codewords of n symbols in {1..q}."""
+    """S distinct codewords of n symbols in {1..q}, read-only in ``np.min_scalar_type(q)``."""
 
     q: int
     n: int
@@ -56,7 +56,7 @@ class Code:
         if self.n < 1:
             msg = f"block length n={self.n} must be at least 1"
             raise InvalidParams(msg)
-        words = np.asarray(self.codewords, dtype=np.int64)
+        words = np.asarray(self.codewords)
         if words.ndim != 2 or words.shape[1] != self.n:
             msg = f"codewords must be a (S, {self.n}) array"
             raise InvalidParams(msg)
@@ -66,9 +66,7 @@ class Code:
         if words.shape[0] > MAX_CODEWORDS:
             msg = f"{words.shape[0]} codewords exceed the cap of {MAX_CODEWORDS}"
             raise CapacityExceeded(msg)
-        if words.min() < 1 or words.max() > self.q:
-            msg = f"symbols must lie in 1..{self.q}"
-            raise SymbolOutOfRange(msg)
+        words = validate_symbols(self.q, words, np.min_scalar_type(self.q))
         if not known_distinct:
             # Sorting on every column puts equal rows next to each other.
             ordered = words[np.lexsort(words.T)]
@@ -184,16 +182,19 @@ def _rank_mod_q(matrix: np.ndarray, q: int) -> int:
     return len(_row_reduce_mod_q(matrix, q)[1])
 
 
-def validate_symbols(q: int, word: np.ndarray) -> np.ndarray:
-    """Check 1-based symbols of one word ``(n,)`` or of words ``(..., n)``; return int64."""
-    word = np.asarray(word, dtype=np.int64)
+def validate_symbols(q: int, word: np.ndarray, dtype=np.int64) -> np.ndarray:
+    """Check 1-based symbols of a word ``(n,)`` or words ``(..., n)``: whole, in 1..q; as ``dtype``."""
+    word = np.asarray(word)
     if word.ndim < 1:
         msg = "a word must hold its symbols along a last axis"
         raise InvalidParams(msg)
-    if word.size and (word.min() < 1 or word.max() > q):
-        msg = f"symbols must lie in 1..{q}"
+    ok = word.size == 0 or 1 <= word.min() <= word.max() <= q
+    cast = word if word.dtype == dtype or not ok else word.astype(dtype)
+    # In range an integer cast is exact; it would truncate only a fraction.
+    if not (ok and (word.dtype.kind in "biu" or (cast == word).all())):
+        msg = f"symbols must lie in 1..{q} and be whole numbers"
         raise SymbolOutOfRange(msg)
-    return word
+    return cast
 
 
 def enumerate_codewords(linear: LinearCode) -> Code:
@@ -251,12 +252,10 @@ def tuple_indices(
     if not 1 <= initial_symbol <= q:
         msg = f"initial symbol {initial_symbol} must lie in 1..{q}"
         raise SymbolOutOfRange(msg)
-    word = validate_symbols(q, codeword)
-    padded = np.concatenate(
-        [np.full(word.shape[:-1] + (memory,), initial_symbol - 1, dtype=np.int64), word - 1],
-        axis=-1,
-    )
-    index = padded[..., memory:]
+    # Checked in the narrow type, shifted straight into the int64 tuple digits.
+    word = validate_symbols(q, codeword, np.min_scalar_type(q))
+    padded = np.full(word.shape[:-1] + (memory + word.shape[-1],), initial_symbol - 1, dtype=np.int64)
+    index = np.subtract(word, 1, out=padded[..., memory:])
     for lag in range(1, memory + 1):  # Horner, down to the oldest predecessor
         index = index * q + padded[..., memory - lag : padded.shape[-1] - lag]
     return index
@@ -316,10 +315,7 @@ def parity_check_from_generator(linear: LinearCode) -> np.ndarray:
     reads off the standard-form check matrix, and undoes the permutation.
     """
     q, n, k = linear.q, linear.n, linear.k
-    rref, pivots = _row_reduce_mod_q(linear.generator, q)
-    if len(pivots) != k:
-        msg = "generator rows are linearly dependent"
-        raise RankDeficient(msg)
+    rref, pivots = _row_reduce_mod_q(linear.generator, q)  # k pivots: LinearCode checked the rank
     others = [c for c in range(n) if c not in pivots]
     h = np.zeros((n - k, n), dtype=np.int64)
     h[:, pivots] = (-rref[:, others].T) % q

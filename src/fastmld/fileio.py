@@ -73,7 +73,7 @@ def read_code_file(path: str) -> Code:
         msg = f"{path}: header promises {size} codewords, file holds {len(lines) - 1}"
         raise InvalidParams(msg)
     words = [_ints(line, n, f"{path} codeword {i + 1}") for i, line in enumerate(lines[1:])]
-    return Code(q=q, n=n, codewords=np.array(words, dtype=np.int64))
+    return Code(q=q, n=n, codewords=words)
 
 
 def write_code_file(path: str, code: Code) -> None:

@@ -75,11 +75,11 @@ _MIN_TILE = 8
 # Column chunk budget (dense cells) used when unpacking big matrices.
 _DENSE_CHUNK_CELLS = 1 << 26
 
-# Positions x columns of one chunk in ``factorize`` (256 KiB of int64 gather
-# index).  Timed on Golay and random [40, 16..20] builds: 2^16 doubled the
-# Golay bit-layout build (codewords are read down their columns), 2^13-2^14
-# were up to 1.4x slower at S >= 2^18.  Near the cap this is 2^15 chunks.
-_INDEX_CELLS = 1 << 15
+# Positions x columns of one chunk in ``factorize`` (64-128 KiB of narrow
+# gather index).  On Golay and random [40, 16..18] builds, 2^15 was 8-10%
+# slower and 2^17 5-7% faster in warm loops, but no faster in cold set-ups
+# between Monte Carlo calls.  Near the cap this is 2^14 chunks.
+_INDEX_CELLS = 1 << 16
 
 
 @dataclass
@@ -241,16 +241,19 @@ def factorize(
             table[at - width * lo[b]] = 1 << (height - j)
         flat += table
     pad = max(0, -min(starts, default=0))
-    flat = np.array([0] * pad + flat, dtype=np.int64)
+    # Pattern indices (distinct bits below 2^h) and entry indices (below
+    # positions * width) are summed in narrow unsigned integers.
+    flat = np.array([0] * pad + flat, dtype=np.uint16 if h <= 16 else np.uint32)
     tables = [flat[pad + start :] for start in starts]
-    offsets = np.arange(positions)[:, None] * width
-    patterns = np.empty((len(heights), cols), dtype=np.int64)
+    offsets = np.arange(positions, dtype=np.min_scalar_type(positions * width))[:, None] * width
     step = max(1, _INDEX_CELLS // max(1, positions))  # bounds each chunk's temporaries
+    patterns = np.empty((len(heights), cols), dtype=np.int64)
     for start in range(0, cols if heights else 0, step):
         index = np.add(columns(start, start + step), offsets)
+        sums = np.empty((len(heights), index.shape[1]), dtype=flat.dtype)
         for b, table in enumerate(tables):
-            out = patterns[b, start : start + step]
-            np.add.reduce(table.take(index[lo[b] : hi[b]]), axis=0, out=out)
+            np.add.reduce(table.take(index[lo[b] : hi[b]]), axis=0, out=sums[b])
+        patterns[:, start : start + step] = sums
     blocks = tuple(MailmanBlock(height, b * h, patterns[b]) for b, height in enumerate(heights))
     return MailmanFactorization(rows=len(entry), cols=cols, blocks=blocks)
 

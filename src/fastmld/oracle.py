@@ -59,7 +59,7 @@ def esd_decode(
         if memory:
             rows = tuple_indices(code.q, memory, words, channel.initial_symbol) + offsets
         else:
-            rows = words - 1 + offsets
+            rows = words + (offsets - 1)  # int64 offsets first: no x - 1 on the narrow table
         scores[:, lo:hi] = np.take(table, rows, axis=1).sum(axis=-1)
     return _finish(code, scores.reshape(vector.shape[:-1] + (code.size,)), tie_tolerance)
 

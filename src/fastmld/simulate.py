@@ -213,11 +213,10 @@ class _Tally:
 def _resolve_code(source) -> tuple[Code, LinearCode | None]:
     if isinstance(source, Code):
         return source, None
+    if isinstance(source, RandomCodeSpec):
+        source = random_linear_code(source.q, source.n, source.k, source.seed)
     if isinstance(source, LinearCode):
         return enumerate_codewords(source), source
-    if isinstance(source, RandomCodeSpec):
-        linear = random_linear_code(source.q, source.n, source.k, source.seed)
-        return enumerate_codewords(linear), linear
     msg = f"cannot build a code from {type(source).__name__}"
     raise InvalidParams(msg)
 

@@ -1,9 +1,19 @@
 """Shared fixtures-by-hand for the test suite."""
 
+from types import SimpleNamespace
+
 import numpy as np
 
-from fastmld import BinaryMatrix, Code, DiscreteChannel, LinearCode, factorize
-from fastmld.mailman import _block_heights
+from fastmld import (
+    BinaryMatrix,
+    Code,
+    CodebookMatrix,
+    DiscreteChannel,
+    LinearCode,
+    MailmanFactorization,
+    factorize,
+)
+from fastmld.mailman import MailmanBlock, _block_heights
 
 # Systematic [7,4] single-error-correcting generator.
 HAMMING_G = np.array(
@@ -61,6 +71,46 @@ def random_code(rng, q: int, n: int, size: int) -> Code:
     picks = rng.choice(q**n, size=size, replace=False)
     digits = picks[:, None] // q ** np.arange(n - 1, -1, -1) % q
     return Code(q=q, n=n, codewords=digits + 1)
+
+
+def codewords_by_matmul(linear: LinearCode) -> np.ndarray:
+    """Reference enumeration in int64: every message, in lexicographic order, times the generator."""
+    q, k = linear.q, linear.k
+    powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    messages = (np.arange(q**k, dtype=np.int64)[:, None] // powers) % q
+    return (messages @ linear.generator) % q + 1
+
+
+def wide_code(code: Code) -> SimpleNamespace:
+    """The code with int64 codewords, as ``Code`` held them before it kept the narrowest type.
+
+    It has what the decoders, the oracle and the simulation read of a code
+    (q, n, size, codewords); ``Code`` itself would narrow the table again.
+    """
+    return SimpleNamespace(
+        q=code.q, n=code.n, size=code.size, codewords=code.codewords.astype(np.int64)
+    )
+
+
+def reference_codebook(
+    per_position: np.ndarray, block_size: int, memory: int = 0, initial: int = 1
+) -> CodebookMatrix:
+    """Codebook whose pattern indices are int64 bit weights times the dense bits.
+
+    ``per_position`` and ``block_size`` are as for ``dense_codebook``; the
+    blocks are ``patterns_by_matmul`` of that matrix.
+    """
+    dense = dense_codebook(per_position, block_size)
+    blocks = tuple(MailmanBlock(*block) for block in patterns_by_matmul(dense))
+    rows, cols = dense.shape
+    return CodebookMatrix(
+        rows=rows,
+        cols=cols,
+        factorization=MailmanFactorization(rows=rows, cols=cols, blocks=blocks),
+        block_size=block_size,
+        memory=memory,
+        initial_symbol=initial,
+    )
 
 
 def incidence_vector(q: int, codeword: np.ndarray) -> np.ndarray:

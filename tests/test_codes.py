@@ -29,6 +29,7 @@ from fastmld import (
 from helpers import (
     HAMMING_G,
     assert_factorization_of,
+    codewords_by_matmul,
     dense_codebook,
     golay_code,
     hamming_code,
@@ -112,14 +113,6 @@ def test_random_linear_code_is_deterministic_and_full_rank():
     assert codes_mod._rank_mod_q(c.generator, 3) == 4
 
 
-def _enumerate_by_matmul(linear):
-    """Reference: every message, in lexicographic order, times the generator."""
-    q, k = linear.q, linear.k
-    powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    messages = (np.arange(q**k, dtype=np.int64)[:, None] // powers) % q
-    return (messages @ linear.generator) % q + 1
-
-
 @pytest.mark.parametrize(
     "q,n,k,seed",
     [(2, 7, 4, 0), (2, 9, 1, 1), (2, 6, 6, 2), (2, 23, 12, 3), (3, 6, 1, 4), (3, 5, 5, 5),
@@ -129,8 +122,8 @@ def test_enumeration_matches_the_matmul_reference(q, n, k, seed):
     linear = random_linear_code(q, n, k, seed)
     code = enumerate_codewords(linear)
     assert (code.q, code.n, code.size) == (q, n, q**k)
-    assert code.codewords.dtype == np.int64 and not code.codewords.flags.writeable
-    np.testing.assert_array_equal(code.codewords, _enumerate_by_matmul(linear))
+    assert code.codewords.dtype == np.min_scalar_type(q) and not code.codewords.flags.writeable
+    np.testing.assert_array_equal(code.codewords, codewords_by_matmul(linear))
 
 
 def _row_reduce_by_rows(matrix, q):
