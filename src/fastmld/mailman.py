@@ -31,11 +31,11 @@ it would alone, so batched results equal the per-vector ones bit for bit.
 A batch runs in a per-thread workspace that outlives the call: the
 ``(S, B)`` accumulator, the ``(2^h, B)`` table and the ``(S, B)`` gather.
 Each is one ``_TILE_BYTES`` buffer (1 MiB), so a thread that has run a
-batched product holds 3 MiB; its first such product allocates them.  With
-fresh arrays per call, glibc handed each freed heap top back to the kernel
-and the next call faulted the same pages in again: about 3000 minor faults
-per 250-trial Golay Monte Carlo call.  A result is always a fresh array,
-never a view of the workspace.
+batched product holds 3 MiB; its first such product allocates them.  A
+result is always a fresh array, never a view of the workspace.  Importing
+the module frees an untouched 16 MiB block; glibc then raises its mmap and
+trim thresholds to 16 and 32 MiB, so results and other transients always
+reuse resident memory, not only when the heap's layout happens to allow.
 """
 
 from __future__ import annotations
@@ -373,6 +373,8 @@ def _product(vector: np.ndarray, factorization: MailmanFactorization, ops) -> np
 #: Per-thread buffers of batched products.  numpy releases the GIL inside
 #: ``take`` and ``add``, so threads must not share them.
 _workspace = threading.local()
+# Raises glibc's malloc thresholds (module docstring); never written, so never resident.
+np.empty(16 * _TILE_BYTES, dtype=np.uint8)
 
 
 def _buffer(name: str, size: int) -> np.ndarray:

@@ -5,11 +5,15 @@ between calls (``mailman._workspace``).  These tests pin what that reuse
 must not change: results equal fresh sequential ones bit for bit under
 concurrent threads, a returned array never changes under a later call,
 a call allocates little beyond its result, the buffers grow when
-``_TILE_BYTES`` grows, and the batched gather takes the pattern indices
-the single-vector one takes and refuses the rest.
+``_TILE_BYTES`` grows, the batched gather takes the pattern indices
+the single-vector one takes and refuses the rest, and repeated Monte Carlo
+calls fault in no fresh pages for what they allocate outside the workspace.
 """
 
 import dataclasses
+import pathlib
+import platform
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -199,3 +203,44 @@ def test_universal_product_writes_into_out():
         vec_times_universal(weights, out=np.empty((8, 3)))
     with pytest.raises(InvalidParams):
         vec_times_universal(weights, out=np.empty((8, 2), dtype=np.float32))
+
+
+#: Runs in a fresh process: three rounds of four Golay Monte Carlo calls of
+#: different shapes; prints each call's minor page faults.
+_FAULT_SCRIPT = """
+import resource, sys
+sys.path.insert(0, sys.argv[1] + "/src")
+sys.path.insert(0, sys.argv[1] + "/tests")
+from fastmld import DiscreteChannel, SimConfig, enumerate_codewords, run_monte_carlo
+from helpers import golay_code
+linear = golay_code()
+code = enumerate_codewords(linear)
+bsc = DiscreteChannel.bsc(0.05)
+configs = [
+    SimConfig(code_source=code, channel=bsc, trials=250, seed=1, variant="ml"),
+    SimConfig(code_source=code, channel=bsc, trials=50, seed=2, variant="list", list_size=4),
+    SimConfig(code_source=linear, channel=bsc, trials=150, seed=3, variant="syndrome"),
+    SimConfig(code_source=code, channel=bsc, trials=10, seed=4, variant="ml", oracle_check=True),
+]
+for _ in range(3):
+    for config in configs:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_monte_carlo(config)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc thresholds")
+def test_repeated_simulations_fault_in_no_fresh_pages():
+    # Without the raised malloc thresholds (see ``mailman``), every call
+    # after the first round faulted 300-800 pages: its product result, list
+    # ranking copy and oracle temporaries, handed back to the kernel by the
+    # call before.
+    root = pathlib.Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", _FAULT_SCRIPT, str(root)], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    faults = [int(line) for line in done.stdout.split()]
+    assert len(faults) == 12
+    assert max(faults[4:]) < 32, faults
