@@ -7,6 +7,8 @@ n*q*S/log2(S) instead of the naive n*S.  A brute-force scorer with no shared
 arithmetic backs every fast path for verification.
 """
 
+import types
+
 from .channels import (
     ERASED,
     ContinuousChannel,
@@ -83,68 +85,9 @@ from .simulate import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ERASED",
-    "MAX_BLOCK_HEIGHT",
-    "MAX_CODEWORDS",
-    "MAX_MATRIX_BITS",
-    "BenchRow",
-    "BinaryMatrix",
-    "CapacityExceeded",
-    "Code",
-    "CodebookMatrix",
-    "ContinuousChannel",
-    "DecodeResult",
-    "DimensionMismatch",
-    "DiscreteChannel",
-    "ErasureChannel",
-    "ErasureObservation",
-    "FastmldError",
-    "HeightOutOfRange",
-    "InvalidParams",
-    "IsiChannel",
-    "LinearCode",
-    "ListDecodeResult",
-    "ListSizeOutOfRange",
-    "MailmanFactorization",
-    "NoZeroDistanceCoset",
-    "NonBinaryCode",
-    "ObservationOutOfAlphabet",
-    "OpCount",
-    "RandomCodeSpec",
-    "RankDeficient",
-    "SimConfig",
-    "SimReport",
-    "SymbolOutOfRange",
-    "SyndromeResult",
-    "addition_bound",
-    "argmax_scan",
-    "bench_multiply",
-    "bipolar_received_vector",
-    "build_bipolar_codebook",
-    "build_codebook_matrix",
-    "build_codebook_matrix_isi",
-    "build_syndrome_matrix",
-    "conditional_probability_vector",
-    "coset_leaders",
-    "enumerate_codewords",
-    "erasure_decode",
-    "esd_decode",
-    "factorize",
-    "isi_ml_decode",
-    "list_decode",
-    "min_distance_decode",
-    "ml_decode",
-    "op_count",
-    "parity_check_from_generator",
-    "random_linear_code",
-    "ranking_equivalent",
-    "run_monte_carlo",
-    "sample_channel",
-    "syndrome",
-    "syndrome_decode",
-    "tuple_indices",
-    "vec_times_matrix",
-    "vec_times_matrix_naive",
-    "vec_times_universal",
-]
+#: Every name imported above; the submodules are not part of it.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

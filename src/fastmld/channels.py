@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import tuple_indices, validate_symbols
+from .codes import tuple_indices, validate_symbols, whole_numbers
 from .errors import (
     InvalidParams,
     ObservationOutOfAlphabet,
@@ -192,11 +192,12 @@ class ErasureObservation:
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.int64)
+        values = np.asarray(self.values)
         if values.ndim not in (1, 2) or values.shape[-1] < 1:
             msg = "an observation must be a non-empty (n,) vector or a (B, n) batch"
             raise InvalidParams(msg)
-        if values.size and (values.min() < ERASED or values.max() > 1):
+        values = whole_numbers(values, ERASED, 1)
+        if values is None:
             msg = "erasure observations hold only 0, 1, or the erasure marker"
             raise ObservationOutOfAlphabet(msg)
         values.setflags(write=False)
@@ -273,12 +274,13 @@ class IsiChannel:
 
 
 def _check_discrete_observation(out_size: int, received: np.ndarray) -> np.ndarray:
-    y = np.asarray(received, dtype=np.int64)
+    y = np.asarray(received)
     if y.ndim not in (1, 2) or y.size < 1:
         msg = "an observation must be a non-empty (n,) vector or a (B, n) batch"
         raise InvalidParams(msg)
-    if y.min() < 1 or y.max() > out_size:
-        msg = f"received symbols must lie in 1..{out_size}"
+    y = whole_numbers(y, 1, out_size)
+    if y is None:
+        msg = f"received symbols must lie in 1..{out_size} and be whole numbers"
         raise ObservationOutOfAlphabet(msg)
     return y
 

@@ -110,12 +110,13 @@ class LinearCode:
         if not 1 <= self.k <= self.n:
             msg = f"need 1 <= k <= n, got k={self.k}, n={self.n}"
             raise InvalidParams(msg)
-        gen = np.asarray(self.generator, dtype=np.int64)
+        gen = np.asarray(self.generator)
         if gen.shape != (self.k, self.n):
             msg = f"generator must be ({self.k}, {self.n}), got {gen.shape}"
             raise InvalidParams(msg)
-        if gen.min() < 0 or gen.max() >= self.q:
-            msg = f"generator entries must lie in 0..{self.q - 1}"
+        gen = whole_numbers(gen, 0, self.q - 1)
+        if gen is None:
+            msg = f"generator entries must lie in 0..{self.q - 1} and be whole numbers"
             raise SymbolOutOfRange(msg)
         if _rank_mod_q(gen, self.q) != self.k:
             msg = "generator rows are linearly dependent"
@@ -188,13 +189,24 @@ def validate_symbols(q: int, word: np.ndarray, dtype=np.int64) -> np.ndarray:
     if word.ndim < 1:
         msg = "a word must hold its symbols along a last axis"
         raise InvalidParams(msg)
-    ok = word.size == 0 or 1 <= word.min() <= word.max() <= q
-    cast = word if word.dtype == dtype or not ok else word.astype(dtype)
-    # In range an integer cast is exact; it would truncate only a fraction.
-    if not (ok and (word.dtype.kind in "biu" or (cast == word).all())):
+    cast = whole_numbers(word, 1, q, dtype)
+    if cast is None:
         msg = f"symbols must lie in 1..{q} and be whole numbers"
         raise SymbolOutOfRange(msg)
     return cast
+
+
+def whole_numbers(values: np.ndarray, low: int, high: int, dtype=np.int64) -> np.ndarray | None:
+    """``values`` as ``dtype`` if each is a whole number in low..high, else None.
+
+    In range an integer cast is exact, so it could change only a fraction;
+    integer input takes no test beyond the range, and a type already
+    ``dtype`` is not copied.
+    """
+    if values.size and not low <= values.min() <= values.max() <= high:
+        return None
+    cast = values if values.dtype == dtype else values.astype(dtype)
+    return cast if values.dtype.kind in "biu" or (cast == values).all() else None
 
 
 def enumerate_codewords(linear: LinearCode) -> Code:
@@ -328,12 +340,13 @@ def syndrome(parity_check: np.ndarray, word: np.ndarray, q: int) -> np.ndarray:
 
     A ``(B, n)`` batch of words gives ``(B, n-k)`` syndromes, one per row.
     """
-    word = np.asarray(word, dtype=np.int64)
+    word = np.asarray(word)
     if word.ndim not in (1, 2) or word.shape[-1] != parity_check.shape[1]:
         msg = f"word length {word.shape} does not match H columns {parity_check.shape[1]}"
         raise InvalidParams(msg)
-    if word.size and (word.min() < 0 or word.max() >= q):
-        msg = f"field elements must lie in 0..{q - 1}"
+    word = whole_numbers(word, 0, q - 1)
+    if word is None:
+        msg = f"field elements must lie in 0..{q - 1} and be whole numbers"
         raise SymbolOutOfRange(msg)
     return (word @ parity_check.T) % q
 

@@ -10,7 +10,11 @@ one sweep that tabulates the vector against every pattern of ``U_h``
 (2^h - 1 additions, by a doubling recursion) plus one table lookup per
 column -- no multiplications at all.  Summed over ``ceil(m/h)`` blocks the
 additions stay below ``4*m*S/log2(S) + 2*S + m`` for S >= 2, against
-``m*S`` multiply-adds for the dense product.
+``m*S`` multiply-adds for the dense product.  Every block shares ``U_h``,
+so one vector's segments are themselves a batch against it: they stack as
+the rows of a ``(blocks, 2^h)`` table (as many as ``_TILE_BYTES`` holds)
+and run the doubling steps once, a shorter last block leaving after its
+own height; each block then gathers from the first 2^height of its row.
 
 ``factorize`` reads each column's pattern indices straight off the symbols
 the column holds, so a codebook is never built as bits; ``reconstruct``
@@ -290,6 +294,27 @@ def vec_times_universal(weights: np.ndarray, out: np.ndarray | None = None) -> n
     return out
 
 
+def _tabulate_rows(segments: list, table: np.ndarray) -> None:
+    """Row r of ``table`` starts with segment r times the universal matrix of its height.
+
+    Segments come in non-increasing length, h = len(segments[0]), and
+    column 0 of ``table`` holds 0.0.  Step j adds each row's j-th weight
+    from the end to its first 2^j entries, so entry i of row r is formed
+    as entry i of ``vec_times_universal(segments[r])``; a row leaves the
+    sweep after its own height, and the rest of it is never written.
+    """
+    h = len(segments[0])
+    weights = np.empty((len(segments), h))  # right-aligned: step j adds column h - 1 - j
+    for row, segment in enumerate(segments):
+        weights[row, h - len(segment) :] = segment
+    rows, size = len(segments), 1
+    for step in range(h):
+        while len(segments[rows - 1]) <= step:
+            rows -= 1
+        np.add(table[:rows, :size], weights[:rows, h - 1 - step, None], out=table[:rows, size : 2 * size])
+        size *= 2
+
+
 def _check_vectors(vector: np.ndarray, rows: int) -> tuple[np.ndarray, int]:
     """The ``(m,)`` vector or ``(B, m)`` batch as float64, and its vector count."""
     vector = np.asarray(vector, dtype=np.float64)
@@ -330,12 +355,35 @@ def _product(vector: np.ndarray, factorization: MailmanFactorization, ops) -> np
     """``vec_times_matrix`` on one vector or one tile of a batch."""
     cols = factorization.cols
     if vector.ndim == 1:
-        out = np.zeros(cols, dtype=np.float64)
-        for block in factorization.blocks:
-            table = vec_times_universal(vector[block.row_offset : block.row_offset + block.height])
-            out += np.take(table, block.correspondence)
-            if ops is not None:
-                ops.additions += (1 << block.height) - 1 + cols
+        blocks = factorization.blocks
+        if not blocks:
+            return np.zeros(cols)
+        segments = [vector[block.row_offset : block.row_offset + block.height] for block in blocks]
+        heights = [len(segment) for segment in segments]
+        if not 1 <= min(heights) <= max(heights) <= MAX_BLOCK_HEIGHT:
+            msg = f"universal heights {min(heights)}..{max(heights)} outside [1, {MAX_BLOCK_HEIGHT}]"
+            raise HeightOutOfRange(msg)
+        per = max(1, _TILE_BYTES // (8 << max(heights)))  # rows of a table that fits _TILE_BYTES
+        table = np.empty((min(per, len(blocks)), 1 << max(heights)))
+        table[:, 0] = 0.0
+        out, start = None, 0
+        while start < len(blocks):
+            # A sweep takes blocks of non-increasing height, so the rows still
+            # doubling at each step are a prefix; a rise starts a new sweep.
+            stop = start + 1
+            while stop < min(start + per, len(blocks)) and heights[stop] <= heights[stop - 1]:
+                stop += 1
+            _tabulate_rows(segments[start:stop], table)
+            for b in range(start, stop):
+                # A block's table is the first 2^height entries of its row, so
+                # its own bounds wrap or refuse an index.  The sum starts from
+                # the first gather: no entry is -0.0, so 0.0 + x == x.
+                gather = table[b - start, : 1 << heights[b]].take(blocks[b].correspondence)
+                out = gather if out is None else np.add(out, gather, out=out)
+                del gather  # freed before the next block's gather is made
+                if ops is not None:
+                    ops.additions += (1 << blocks[b].height) - 1 + cols
+            start = stop
         return out
     count = vector.shape[0]
     # One column per vector, so tables and sums keep patterns on axis 0.

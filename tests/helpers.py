@@ -1,5 +1,6 @@
 """Shared fixtures-by-hand for the test suite."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,9 @@ from fastmld import (
     DiscreteChannel,
     LinearCode,
     MailmanFactorization,
+    OpCount,
     factorize,
+    vec_times_universal,
 )
 from fastmld.mailman import MailmanBlock, _block_heights
 
@@ -167,3 +170,32 @@ def sample_categorical_by_table(log_rows: np.ndarray, row_index: np.ndarray, rng
     draws = rng.random(row_index.shape + (1,))
     picks = (draws > cumulative).sum(axis=-1)
     return np.minimum(picks, log_rows.shape[1] - 1) + 1
+
+
+def product_per_block(vector: np.ndarray, factorization, ops: OpCount | None = None) -> np.ndarray:
+    """Reference single-vector product: each block tabulated on its own, gathers summed in block order.
+
+    Every block makes its own ``vec_times_universal`` table of its segment
+    and adds ``np.take`` of it into a zero-initialized sum, so an index
+    is wrapped or refused by that block's own 2^height entries.
+    """
+    out = np.zeros(factorization.cols)
+    for block in factorization.blocks:
+        table = vec_times_universal(vector[block.row_offset : block.row_offset + block.height])
+        out += np.take(table, block.correspondence)
+        if ops is not None:
+            ops.additions += (1 << block.height) - 1 + factorization.cols
+    return out
+
+
+def peak_beyond_start(fn) -> int:
+    """Bytes ``fn`` holds at its peak beyond what was traced at its start."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - start

@@ -1,10 +1,13 @@
-"""Property test: the list ranking is a prefix of the lexsort by (-score, index).
+"""Property tests: the list ranking is a prefix of the lexsort by (-score, index),
+and the tie set holds every score within tolerance of its row's max.
 
-Covers both ranking paths of ``decoder._top``: the stable sort up to
+The ranking tests cover both ranking paths of ``decoder._top``: the stable sort up to
 ``_SORT_MAX_COLS`` scores a row and the O(S) selection beyond, with exact
 ties and ``-inf`` forced in.  Kept apart from ``test_decoder.py`` because
 it needs ``hypothesis``.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
@@ -41,3 +44,37 @@ def test_ranking_is_the_lexsort_prefix(width, batch, levels, inf_share, seed, da
     expected = [np.lexsort((np.arange(width), -row))[:size] for row in scores.reshape(-1, width)]
     assert ranking.shape == shape[:-1] + (size,)
     assert np.array_equal(ranking.reshape(-1, size), np.stack(expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    width=st.integers(1, 40),
+    batch=st.integers(0, 4),
+    levels=st.sampled_from([1, 2, 3, 8, 4096]),
+    inf_share=st.sampled_from([0.0, 0.2, 0.9, 1.0]),
+    tolerance=st.sampled_from([0.0, 1e-300, 0.25, 1.0, 1e300]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_ties_are_marked_against_the_row_max(width, batch, levels, inf_share, tolerance, seed):
+    # _tie_mask reads each row's max at its argmax; ties, the best index
+    # (the first tie), the best score and implausible (an all -inf row)
+    # must be what the max over the row gives.
+    rng = np.random.default_rng(seed)
+    shape = (width,) if batch == 0 else (batch, width)
+    values = np.concatenate(([0.0, -0.0], -rng.exponential(size=levels)))
+    scores = values[rng.integers(values.size, size=shape)]
+    scores[rng.random(shape) < inf_share] = -np.inf
+    top = scores.max(axis=-1, keepdims=True)
+    expected = scores >= top - tolerance
+    assert np.array_equal(decoder._tie_mask(scores, tolerance), expected)
+    code = SimpleNamespace(codewords=np.arange(width)[:, None])
+    result = decoder._finish(code, scores, tolerance)
+    first = expected.argmax(axis=-1)
+    assert np.array_equal(result.best_index, first + 1)
+    assert np.array_equal(result.best_score, np.take_along_axis(scores, first[..., None], -1)[..., 0])
+    assert np.array_equal(result.implausible, top[..., 0] == -np.inf)
+    if batch == 0:
+        assert result.ties == tuple(np.flatnonzero(expected) + 1)
+        assert isinstance(result.implausible, bool) and isinstance(result.best_score, float)
+    else:
+        assert np.array_equal(result.ties, expected)

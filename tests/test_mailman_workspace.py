@@ -16,7 +16,6 @@ import platform
 import subprocess
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +32,7 @@ from fastmld import (
     vec_times_universal,
 )
 
-from helpers import golay_code, random_code
+from helpers import golay_code, peak_beyond_start, product_per_block, random_code
 
 #: Allocations a call may make beyond its result: the tie mask of
 #: ``erasure_decode`` (B x S booleans, 128 KiB at B = 32, S = 4096) and
@@ -116,19 +115,6 @@ def test_result_is_unchanged_by_a_later_batched_call():
     assert np.array_equal(first, kept)
 
 
-def _peak_beyond_start(fn) -> int:
-    """Bytes ``fn`` holds at its peak beyond what was traced at its start."""
-    tracemalloc.start()
-    try:
-        start, _ = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        fn()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak - start
-
-
 def test_golay_batch_allocates_little_beyond_its_result():
     code = enumerate_codewords(golay_code())
     codebook, bipolar = build_codebook_matrix(code), build_bipolar_codebook(code)
@@ -145,7 +131,7 @@ def test_golay_batch_allocates_little_beyond_its_result():
     result = 32 * code.size * 8
     for call in (product, erasure):
         call()  # warm-up: this thread's workspace now exists
-        assert _peak_beyond_start(call) <= result + SLACK
+        assert peak_beyond_start(call) <= result + SLACK
 
 
 @pytest.mark.parametrize("order", [("small", "full"), ("full", "small")])
@@ -169,29 +155,43 @@ def test_workspace_grows_when_the_tile_budget_changes(monkeypatch, order):
         assert np.array_equal(result, expected)
 
 
+def _index_cases(block, cases):
+    return [pytest.param(block, *case, id=(block and f"{block}-") + "-".join(map(str, case))) for case in cases]
+
+
 @pytest.mark.parametrize(
-    ("scale", "shift", "refused"), [(1, 0, True), (-1, -1, True), (0, -1, False), (-1, 0, False)]
+    ("block", "scale", "shift", "refused"),
+    _index_cases("", [(1, 0, True), (-1, -1, True), (0, -1, False), (-1, 0, False)])
+    # The short last block (height 2 of 8) shares its sweep's 2^8-wide row,
+    # but takes only indices in [-4, 4): 255 and -256 lie inside the row.
+    + _index_cases("short", [(1, 0, True), (-1, -1, True), (0, -1, False), (-1, 0, False)])
+    + _index_cases("short", [(64, -1, True), (-64, 0, True)]),
 )
-def test_batched_and_single_products_agree_on_any_pattern_index(scale, shift, refused):
+def test_batched_and_single_products_agree_on_any_pattern_index(block, scale, shift, refused):
     # numpy's take reads an index in [-2^h, 2^h) and refuses one outside;
-    # a hand-made block may hold either.
+    # a hand-made block may hold either.  Single products must refuse or
+    # wrap it as the per-block formula does.
     rng = np.random.default_rng(75)
     factorization = build_codebook_matrix(random_code(rng, 2, 9, 300)).factorization
-    block = factorization.blocks[0]
-    correspondence = block.correspondence.copy()
-    correspondence[7] = scale * (1 << block.height) + shift
-    made = dataclasses.replace(
-        factorization,
-        blocks=(dataclasses.replace(block, correspondence=correspondence),) + factorization.blocks[1:],
-    )
+    at = -1 if block else 0
+    edited = factorization.blocks[at]
+    assert [b.height for b in factorization.blocks] == [8, 8, 2]
+    correspondence = edited.correspondence.copy()
+    correspondence[7] = scale * (1 << edited.height) + shift
+    blocks = list(factorization.blocks)
+    blocks[at] = dataclasses.replace(edited, correspondence=correspondence)
+    made = dataclasses.replace(factorization, blocks=tuple(blocks))
     vectors = rng.standard_normal((4, factorization.rows))
     if refused:
         for vector in (vectors[0], vectors):
             with pytest.raises(IndexError):
                 vec_times_matrix(vector, made)
+        with pytest.raises(IndexError):
+            product_per_block(vectors[0], made)
     else:
         singles = np.stack([vec_times_matrix(v, made) for v in vectors])
         assert np.array_equal(vec_times_matrix(vectors, made), singles)
+        assert np.array_equal(singles, np.stack([product_per_block(v, made) for v in vectors]))
 
 
 def test_universal_product_writes_into_out():

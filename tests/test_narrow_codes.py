@@ -20,23 +20,29 @@ from fastmld import (
     Code,
     DiscreteChannel,
     ErasureChannel,
+    ErasureObservation,
     IsiChannel,
     LinearCode,
+    ObservationOutOfAlphabet,
+    RankDeficient,
     SimConfig,
     SymbolOutOfRange,
     build_bipolar_codebook,
     build_codebook_matrix,
     build_codebook_matrix_isi,
     build_syndrome_matrix,
+    conditional_probability_vector,
     enumerate_codewords,
     erasure_decode,
     esd_decode,
     list_decode,
     min_distance_decode,
     ml_decode,
+    parity_check_from_generator,
     random_linear_code,
     run_monte_carlo,
     sample_channel,
+    syndrome,
     syndrome_decode,
     tuple_indices,
 )
@@ -45,6 +51,7 @@ from fastmld.codes import validate_symbols
 
 from helpers import (
     assert_factorization_of,
+    hamming_code,
     codewords_by_matmul,
     dense_codebook,
     reference_codebook,
@@ -97,6 +104,54 @@ def test_fractional_codewords_are_refused():
     code = Code(q=2, n=2, codewords=[[1.0, 2.0], [2.0, 1.0]])
     assert code.codewords.dtype == np.uint8
     np.testing.assert_array_equal(code.codewords, [[1, 2], [2, 1]])
+
+
+def _whole(values, low: int, high: int) -> bool:
+    return all(np.isfinite(v) and v == int(v) and low <= v <= high for v in values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_SYMBOLS, min_size=7, max_size=7))
+@example(values=[1.5, 2.9, 1.0, 1.0, 2.0, 2.0, 1.0])
+@example(values=[1.0, 2.0, 1.0, 1.0, 2.0, 2.0, 1.0])
+@example(values=[2.0, 3.0, 1.0, 2.0, 2.0, 3.0, 2.7])
+def test_received_words_and_field_elements_a_cast_would_change_are_refused(values):
+    # Each input is checked in its own range: received symbols 1..2 of a
+    # BSC, erasure words -1..1, field elements 0..1 of a received word or
+    # a syndrome, and 0..2 of a generator row over F_3.  Whole floats
+    # are accepted as the integers they equal.
+    word = np.array(values)
+    channel = DiscreteChannel.bsc(0.1)
+    linear = hamming_code()
+    syndrome_matrix, leaders = build_syndrome_matrix(linear)
+    checks = [  # (shift, low, high, error, call)
+        (0, 1, 2, ObservationOutOfAlphabet, lambda w: conditional_probability_vector(channel, w)),
+        (2, -1, 1, ObservationOutOfAlphabet, lambda w: ErasureObservation(values=w).values),
+        (1, 0, 1, SymbolOutOfRange, lambda w: syndrome(parity_check_from_generator(linear), w, 2)),
+        (1, 0, 1, ObservationOutOfAlphabet, lambda w: syndrome_decode(linear, leaders, syndrome_matrix, w).codeword),
+        (1, 0, 2, SymbolOutOfRange, lambda w: LinearCode(q=3, n=7, k=1, generator=w[None]).generator),
+    ]
+    for shift, low, high, error, call in checks:
+        shifted = word - shift
+        if not _whole(shifted.tolist(), low, high):
+            with pytest.raises(error):
+                call(shifted)
+        elif high == 2 and not shifted.any():
+            with pytest.raises(RankDeficient):  # a zero generator row
+                call(shifted)
+        else:
+            accepted = call(shifted)
+            assert accepted.dtype == call(shifted.astype(np.int64)).dtype
+            np.testing.assert_array_equal(accepted, call(shifted.astype(np.int64)))
+
+
+def test_fractional_received_words_and_generators_are_refused():
+    # A cast would score this word as [1, 2, 1, 1, 2, 2, 1] and store [[1, 1, 0]].
+    with pytest.raises(ObservationOutOfAlphabet):
+        conditional_probability_vector(DiscreteChannel.bsc(0.1), [1.5, 2.9, 1.0])
+    with pytest.raises(SymbolOutOfRange):
+        LinearCode(q=2, n=3, k=1, generator=[[1.7, 1, 0]])
+    assert LinearCode(q=2, n=3, k=1, generator=[[1.0, 1, 0]]).generator.tolist() == [[1, 1, 0]]
 
 
 def test_enumeration_sums_past_the_stored_type():

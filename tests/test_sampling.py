@@ -154,15 +154,17 @@ def test_sampling_allocates_no_per_output_table():
 @example(shape=(0, 7), floats=False, seed=0)  # an empty batch is accepted
 def test_erasure_observation_accepts_exactly_zero_one_and_erased(shape, floats, seed):
     rng = np.random.default_rng(seed)
+    # Mostly valid words, so that both outcomes are common.
+    valid, wide = rng.integers(-1, 2, size=shape), rng.integers(-3, 4, size=shape)
+    values = np.where(rng.random(shape) < 0.9, valid, wide)
     if floats:
-        values = rng.uniform(-2.5, 2.5, size=shape)  # cast toward zero
-    else:
-        # Mostly valid words, so that both outcomes are common.
-        valid, wide = rng.integers(-1, 2, size=shape), rng.integers(-3, 4, size=shape)
-        values = np.where(rng.random(shape) < 0.9, valid, wide)
-    cast = np.asarray(values, dtype=np.int64)
-    if np.isin(cast, (0, 1, -1)).all():
-        np.testing.assert_array_equal(ErasureObservation(values=values).values, cast)
+        # Whole floats are accepted; a fraction, which an integer cast would
+        # truncate toward zero, is refused.
+        values = np.where(rng.random(shape) < 0.9, values, rng.uniform(-2.5, 2.5, size=shape))
+    if np.isin(values, (0, 1, -1)).all():
+        checked = ErasureObservation(values=values).values
+        assert checked.dtype == np.int64
+        np.testing.assert_array_equal(checked, values)
     else:
         with pytest.raises(ObservationOutOfAlphabet):
             ErasureObservation(values=values)
