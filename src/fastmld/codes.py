@@ -199,9 +199,7 @@ def validate_symbols(q: int, word: np.ndarray, dtype=np.int64) -> np.ndarray:
 def whole_numbers(values: np.ndarray, low: int, high: int, dtype=np.int64) -> np.ndarray | None:
     """``values`` as ``dtype`` if each is a whole number in low..high, else None.
 
-    In range an integer cast is exact, so it could change only a fraction;
-    integer input takes no test beyond the range, and a type already
-    ``dtype`` is not copied.
+    In range a cast could change only a fraction, so integers are not tested further.
     """
     if values.size and not low <= values.min() <= values.max() <= high:
         return None

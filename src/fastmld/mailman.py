@@ -311,7 +311,10 @@ def _tabulate_rows(segments: list, table: np.ndarray) -> None:
     for step in range(h):
         while len(segments[rows - 1]) <= step:
             rows -= 1
-        np.add(table[:rows, :size], weights[:rows, h - 1 - step, None], out=table[:rows, size : 2 * size])
+        if rows == 1:  # a 1-d row plus a scalar: 0.6-0.8 us less per call than (1, size)
+            np.add(table[0, :size], weights[0, h - 1 - step], out=table[0, size : 2 * size])
+        else:
+            np.add(table[:rows, :size], weights[:rows, h - 1 - step, None], out=table[:rows, size : 2 * size])
         size *= 2
 
 
