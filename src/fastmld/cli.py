@@ -258,29 +258,42 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    decoders = {
-        "decode": ("ml", "maximum-likelihood decode"),
-        "list-decode": ("list", "top-L most likely codewords"),
-        "erasure-decode": ("erasure", "decode a word with erasures"),
-        "syndrome-decode": ("syndrome", "coset-leader decode of a binary word"),
-        "isi-decode": ("isi", "ML decode over a channel with memory"),
-    }
-    for name, (variant, text) in decoders.items():
-        command = sub.add_parser(name, help=text)
-        if variant == "syndrome":
-            command.add_argument("--gen", metavar="FILE", required=True, help="generator file")
-        else:
-            _add_code_arguments(command)
-        if variant in ("ml", "list", "isi"):
-            spec = "isi-dmc channel file" if variant == "isi" else "channel spec or file"
-            command.add_argument("--channel", required=True, help=spec)
-        _add_received_arguments(command)
-        if variant == "list":
-            command.add_argument("--list-size", type=int, required=True, help="entries to return")
-        elif variant != "syndrome":
-            command.add_argument("--tie-tol", type=float, default=0.0, help="tie tolerance (default 0)")
-        command.add_argument("--oracle", action="store_true", help="cross-check by brute force")
-        command.set_defaults(handler=_cmd_decode, variant=variant)
+    decode = sub.add_parser("decode", help="maximum-likelihood decode")
+    _add_code_arguments(decode)
+    decode.add_argument("--channel", required=True, help="channel spec or file")
+    _add_received_arguments(decode)
+    decode.add_argument("--tie-tol", type=float, default=0.0, help="tie tolerance (default 0)")
+    decode.add_argument("--oracle", action="store_true", help="cross-check by brute force")
+    decode.set_defaults(handler=_cmd_decode, variant="ml")
+
+    listdec = sub.add_parser("list-decode", help="top-L most likely codewords")
+    _add_code_arguments(listdec)
+    listdec.add_argument("--channel", required=True, help="channel spec or file")
+    _add_received_arguments(listdec)
+    listdec.add_argument("--list-size", type=int, required=True, help="entries to return")
+    listdec.add_argument("--oracle", action="store_true", help="cross-check by brute force")
+    listdec.set_defaults(handler=_cmd_decode, variant="list")
+
+    erasure = sub.add_parser("erasure-decode", help="decode a word with erasures")
+    _add_code_arguments(erasure)
+    _add_received_arguments(erasure)
+    erasure.add_argument("--tie-tol", type=float, default=0.0, help="tie tolerance (default 0)")
+    erasure.add_argument("--oracle", action="store_true", help="cross-check by brute force")
+    erasure.set_defaults(handler=_cmd_decode, variant="erasure")
+
+    synd = sub.add_parser("syndrome-decode", help="coset-leader decode of a binary word")
+    synd.add_argument("--gen", metavar="FILE", required=True, help="generator file")
+    _add_received_arguments(synd)
+    synd.add_argument("--oracle", action="store_true", help="cross-check by brute force")
+    synd.set_defaults(handler=_cmd_decode, variant="syndrome")
+
+    isi = sub.add_parser("isi-decode", help="ML decode over a channel with memory")
+    _add_code_arguments(isi)
+    isi.add_argument("--channel", required=True, help="isi-dmc channel file")
+    _add_received_arguments(isi)
+    isi.add_argument("--tie-tol", type=float, default=0.0, help="tie tolerance (default 0)")
+    isi.add_argument("--oracle", action="store_true", help="cross-check by brute force")
+    isi.set_defaults(handler=_cmd_decode, variant="isi")
 
     sim = sub.add_parser("simulate", help="Monte Carlo frame-error simulation")
     _add_code_arguments(sim)

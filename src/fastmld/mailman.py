@@ -311,10 +311,7 @@ def _tabulate_rows(segments: list, table: np.ndarray) -> None:
     for step in range(h):
         while len(segments[rows - 1]) <= step:
             rows -= 1
-        if rows == 1:  # a 1-d row plus a scalar: 0.6-0.8 us less per call than (1, size)
-            np.add(table[0, :size], weights[0, h - 1 - step], out=table[0, size : 2 * size])
-        else:
-            np.add(table[:rows, :size], weights[:rows, h - 1 - step, None], out=table[:rows, size : 2 * size])
+        np.add(table[:rows, :size], weights[:rows, h - 1 - step, None], out=table[:rows, size : 2 * size])
         size *= 2
 
 
@@ -359,35 +356,40 @@ def _product(vector: np.ndarray, factorization: MailmanFactorization, ops) -> np
     cols = factorization.cols
     if vector.ndim == 1:
         blocks = factorization.blocks
-        if not blocks:
-            return np.zeros(cols)
         segments = [vector[block.row_offset : block.row_offset + block.height] for block in blocks]
         heights = [len(segment) for segment in segments]
-        if not 1 <= min(heights) <= max(heights) <= MAX_BLOCK_HEIGHT:
-            msg = f"universal heights {min(heights)}..{max(heights)} outside [1, {MAX_BLOCK_HEIGHT}]"
-            raise HeightOutOfRange(msg)
-        per = max(1, _TILE_BYTES // (8 << max(heights)))  # rows of a table that fits _TILE_BYTES
-        table = np.empty((min(per, len(blocks)), 1 << max(heights)))
+        # Blocks before the first height outside [1, MAX_BLOCK_HEIGHT] run and
+        # raise as they would alone; that block then raises.
+        good = next((b for b, h in enumerate(heights) if not 1 <= h <= MAX_BLOCK_HEIGHT), len(blocks))
+        widest = max(heights[:good], default=0)
+        per = max(1, _TILE_BYTES // (8 << widest))  # rows of a table that fits _TILE_BYTES
+        table = np.empty((min(per, good), 1 << widest))
         table[:, 0] = 0.0
         out, start = None, 0
         while start < len(blocks):
+            if start == good:
+                msg = f"universal height {heights[start]} outside [1, {MAX_BLOCK_HEIGHT}]"
+                raise HeightOutOfRange(msg)
             # A sweep takes blocks of non-increasing height, so the rows still
             # doubling at each step are a prefix; a rise starts a new sweep.
             stop = start + 1
-            while stop < min(start + per, len(blocks)) and heights[stop] <= heights[stop - 1]:
+            while stop < min(start + per, good) and heights[stop] <= heights[stop - 1]:
                 stop += 1
             _tabulate_rows(segments[start:stop], table)
             for b in range(start, stop):
                 # A block's table is the first 2^height entries of its row, so
-                # its own bounds wrap or refuse an index.  The sum starts from
-                # the first gather: no entry is -0.0, so 0.0 + x == x.
+                # its own bounds wrap or refuse an index.
                 gather = table[b - start, : 1 << heights[b]].take(blocks[b].correspondence)
-                out = gather if out is None else np.add(out, gather, out=out)
+                if out is None and gather.shape == (cols,):
+                    out = gather  # the sum so far: 0.0 + x == x, as no entry is -0.0
+                else:  # a hand-made correspondence of another length broadcasts or is refused
+                    out = np.zeros(cols) if out is None else out
+                    np.add(out, gather, out=out)
                 del gather  # freed before the next block's gather is made
                 if ops is not None:
                     ops.additions += (1 << blocks[b].height) - 1 + cols
             start = stop
-        return out
+        return np.zeros(cols) if out is None else out
     count = vector.shape[0]
     # One column per vector, so tables and sums keep patterns on axis 0.
     columns = vector.T

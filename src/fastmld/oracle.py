@@ -22,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import ErasureObservation, IsiChannel, conditional_probability_vector
-from .codes import Code, tuple_indices
+from .codes import Code, tuple_indices, whole_numbers
 from .decoder import DecodeResult, _finish
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, ObservationOutOfAlphabet
 
 #: Byte budget for one block's ``(B, block, n)`` gather of 8-byte entries.
 _GATHER_BYTES = 1 << 20
@@ -78,7 +78,10 @@ def min_distance_decode(
         keep = received.values >= 0
         word = received.values + 1
     else:
-        word = np.asarray(received, dtype=np.int64)
+        word = whole_numbers(np.asarray(received), 1, code.q)
+        if word is None:
+            msg = f"received symbols must lie in 1..{code.q} and be whole numbers"
+            raise ObservationOutOfAlphabet(msg)
         keep = np.ones(word.shape, dtype=bool)
     if word.ndim not in (1, 2) or word.shape[-1] != code.n:
         msg = f"received words of shape {word.shape} do not match n={code.n}"

@@ -9,6 +9,8 @@ product bit for bit (signed zeros included), and tallies ``op_count``.
 Kept apart from ``test_mailman.py`` because it needs ``hypothesis``.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -129,12 +131,14 @@ def test_hand_made_blocks_keep_the_per_block_results_and_errors(
 ):
     # Blocks of any height in any order, overlapping or not, with indices
     # anywhere in [-2^height, 2^height) that take wraps; a fault puts one
-    # index just outside.  A truncated block's segment runs past the last row.
+    # index just outside.  A truncated block's segment runs past the last
+    # row, or starts there and is refused as empty.  Errors must come from
+    # the same block, with the same type and message.
     rng = np.random.default_rng(seed)
     rows = max(heights) + extra_rows
     blocks = []
     for height in heights:
-        offset = int(rng.integers(0, rows - (0 if truncate else height - 1)))
+        offset = int(rng.integers(0, rows + 1 if truncate else rows - height + 1))
         correspondence = rng.integers(-(1 << height), 1 << height, size=cols)
         blocks.append(MailmanBlock(height, offset, correspondence))
     if fault is not None:
@@ -146,8 +150,8 @@ def test_hand_made_blocks_keep_the_per_block_results_and_errors(
     for vector in vectors:
         try:
             expected = product_per_block(vector, fact)
-        except IndexError:
-            with pytest.raises(IndexError):
+        except (IndexError, HeightOutOfRange) as error:
+            with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
                 vec_times_matrix(vector, fact)
             continue
         assert _same_bits(vec_times_matrix(vector, fact), expected)
@@ -162,11 +166,32 @@ def test_hand_made_blocks_keep_the_per_block_results_and_errors(
 
 
 def test_blocks_past_the_last_row_are_refused_as_before():
-    block = MailmanBlock(2, 5, np.array([0, 1, 3]))
-    fact = MailmanFactorization(rows=5, cols=3, blocks=(block,))
+    past = MailmanBlock(2, 5, np.array([0, 1, 3]))
+    fact = MailmanFactorization(rows=5, cols=3, blocks=(past,))
     for product in (product_per_block, vec_times_matrix):
-        with pytest.raises(HeightOutOfRange):
+        with pytest.raises(HeightOutOfRange, match="universal height 0 outside"):
             product(np.ones(5), fact)
+    # An earlier block's bad index is refused first, as its gather comes
+    # before the later block is tabulated.
+    bad_index = MailmanBlock(2, 0, np.array([0, 4, 1]))
+    fact = MailmanFactorization(rows=5, cols=3, blocks=(bad_index, past))
+    for product in (product_per_block, vec_times_matrix):
+        with pytest.raises(IndexError):
+            product(np.ones(5), fact)
+
+
+def test_a_correspondence_of_another_length_adds_in_as_before():
+    # One index broadcasts over every column; three do not fit two.
+    for correspondence, cols in (([3], 2), ([0, 1, 2], 2)):
+        block = MailmanBlock(2, 0, np.array(correspondence))
+        fact = MailmanFactorization(rows=2, cols=cols, blocks=(block,))
+        try:
+            expected = product_per_block(np.array([1.0, 2.0]), fact)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=re.escape(str(error))):
+                vec_times_matrix(np.array([1.0, 2.0]), fact)
+        else:
+            assert _same_bits(vec_times_matrix(np.array([1.0, 2.0]), fact), expected)
 
 
 @settings(max_examples=100, deadline=None)

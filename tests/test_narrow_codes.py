@@ -119,15 +119,17 @@ def _whole(values, low: int, high: int) -> bool:
 @example(values=[2.0, 3.0, 1.0, 2.0, 2.0, 3.0, 2.7])  # a generator row ending in 1.7
 def test_received_words_and_field_elements_a_cast_would_change_are_refused(values):
     # Each input is checked in its own range: received symbols 1..2 of a
-    # BSC, erasure words -1..1, field elements 0..1 of a received word or
+    # BSC or of the brute-force minimum-distance reference, erasure words -1..1, field elements 0..1 of a received word or
     # a syndrome, and 0..2 of a generator row over F_3.  Whole floats
     # are accepted as the integers they equal.
     word = np.array(values)
     channel = DiscreteChannel.bsc(0.1)
     linear = hamming_code()
     syndrome_matrix, leaders = build_syndrome_matrix(linear)
+    code = enumerate_codewords(linear)
     checks = [  # (shift, low, high, error, call)
         (0, 1, 2, ObservationOutOfAlphabet, lambda w: conditional_probability_vector(channel, w)),
+        (0, 1, 2, ObservationOutOfAlphabet, lambda w: min_distance_decode(code, w)[2]),
         (2, -1, 1, ObservationOutOfAlphabet, lambda w: ErasureObservation(values=w).values),
         (1, 0, 1, SymbolOutOfRange, lambda w: syndrome(parity_check_from_generator(linear), w, 2)),
         (1, 0, 1, ObservationOutOfAlphabet, lambda w: syndrome_decode(linear, leaders, syndrome_matrix, w).codeword),
