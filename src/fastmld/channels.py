@@ -222,7 +222,8 @@ class ErasureObservation:
         return cls(values=np.array(values, dtype=np.int64))
 
     def __str__(self) -> str:
-        return "".join("e" if v == ERASED else str(int(v)) for v in self.values)
+        """The word as a 0/1/e string; a batch gives one such line per word."""
+        return "\n".join("".join("e" if v == ERASED else str(int(v)) for v in w) for w in np.atleast_2d(self.values))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ import numpy as np
 from . import simulate
 from .channels import DiscreteChannel, ErasureChannel, ErasureObservation
 from .codes import Code, LinearCode, build_codebook_matrix, random_linear_code
-from .errors import DimensionMismatch, FastmldError, InvalidParams
+from .errors import DimensionMismatch, FastmldError
 from .fileio import (
+    _ints,
     parse_channel_spec,
     parse_received_word,
     read_code_file,
@@ -63,7 +64,7 @@ def _code_source(args, parser) -> Code | LinearCode | RandomCodeSpec:
         comma = "," if len(names) > 2 else ""
         parser.error(f"exactly one of {', '.join(names[:-1])}{comma} or {names[-1]} is required")
     if picked == ["random_code"]:
-        return _parse_random_code(args.random_code)
+        return RandomCodeSpec(*_ints(args.random_code.replace(",", " "), 4, "--random-code q,n,k,seed"))
     if picked == ["gen"]:
         return read_linear_code_file(args.gen)
     return read_code_file(args.code)
@@ -182,19 +183,6 @@ def _cmd_decode(args, parser) -> int:
     return status
 
 
-def _parse_random_code(text: str) -> RandomCodeSpec:
-    parts = text.split(",")
-    if len(parts) != 4:
-        msg = f"--random-code takes q,n,k,seed, got {text!r}"
-        raise InvalidParams(msg)
-    try:
-        q, n, k, seed = (int(p) for p in parts)
-    except ValueError:
-        msg = f"--random-code takes integers q,n,k,seed, got {text!r}"
-        raise InvalidParams(msg) from None
-    return RandomCodeSpec(q=q, n=n, k=k, seed=seed)
-
-
 def _cmd_simulate(args, parser) -> int:
     source = _code_source(args, parser)
     channel = parse_channel_spec(args.channel)
@@ -224,8 +212,8 @@ def _cmd_simulate(args, parser) -> int:
 
 
 def _cmd_bench(args, parser) -> int:
-    rows_list = [int(p) for p in args.rows.split(",")]
-    cols_list = [int(p) for p in args.cols.split(",")]
+    rows_list = _ints(args.rows.replace(",", " "), None, "--rows")
+    cols_list = _ints(args.cols.replace(",", " "), None, "--cols")
     rows = bench_multiply(rows_list, cols_list, repetitions=args.reps, seed=args.seed)
     print("rows cols naive_ops mailman_additions ratio naive_us mailman_us")
     for row in rows:

@@ -133,15 +133,21 @@ class CodebookMatrix:
     width of each position's block (q, or q^(L+1) when L memory taps are
     baked in) and the column sets one row per block.  In the bit layout of
     a binary code (``block_size`` 1) each position has one row, set where
-    the codeword's bit is 1.
+    the codeword's bit is 1.  ``rows`` and ``cols`` are the factorization's.
     """
 
-    rows: int
-    cols: int
     factorization: MailmanFactorization
     block_size: int
     memory: int = 0
     initial_symbol: int = 1
+
+    @property
+    def rows(self) -> int:
+        return self.factorization.rows
+
+    @property
+    def cols(self) -> int:
+        return self.factorization.cols
 
     @property
     def matrix(self) -> BinaryMatrix:
@@ -286,11 +292,8 @@ def _codebook(
     row_map = np.full((n, first + max(block_size, 2)), -1)
     # In the bit layout value ``first`` sets no row.
     row_map[:, first + (block_size == 1) :] = np.arange(n * block_size).reshape(n, block_size)
-    fact = factorize(symbols, row_map)
     return CodebookMatrix(
-        rows=fact.rows,
-        cols=fact.cols,
-        factorization=fact,
+        factorization=factorize(symbols, row_map),
         block_size=block_size,
         memory=memory,
         initial_symbol=initial,

@@ -24,9 +24,6 @@ from .channels import (
 from .codes import Code, LinearCode
 from .errors import InvalidParams, ObservationOutOfAlphabet
 
-CHANNEL_KINDS = ("bsc", "qsc", "dmc", "awgn", "erasure", "isi-dmc")
-
-
 def _content_lines(path: str) -> list[str]:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -57,9 +54,13 @@ def _ints(text: str, count: int | None, where: str) -> list[int]:
         raise InvalidParams(msg) from None
 
 
-def _floats(text: str, where: str) -> list[float]:
+def _floats(text: str, where: str, count: int | None = None) -> list[float]:
+    parts = text.replace(",", " ").split()
+    if count is not None and len(parts) != count:
+        msg = f"{where}: expected {count} numbers, got {len(parts)}"
+        raise InvalidParams(msg)
     try:
-        return [float(p) for p in text.replace(",", " ").split()]
+        return [float(p) for p in parts]
     except ValueError:
         msg = f"{where}: expected numbers, got {text!r}"
         raise InvalidParams(msg) from None
@@ -123,42 +124,43 @@ def _require(values: dict[str, str], key: str, path: str) -> str:
     return values[key]
 
 
+#: Each channel kind's constructor, then its parameters in order, which
+#: are also its channel-file keys: ``row`` lines hold a transition table,
+#: and awgn's ``map`` (its constellation) is optional and takes any count.
+#: Kinds without a table also have a ``kind:params`` form.
+_CHANNELS = {
+    "bsc": (DiscreteChannel.bsc, "p"),
+    "qsc": (DiscreteChannel.symmetric, "q", "p"),
+    "dmc": (DiscreteChannel.from_probabilities, "row"),
+    "awgn": (ContinuousChannel.awgn, "sigma", "map"),
+    "erasure": (ErasureChannel, "p"),
+    "isi-dmc": (IsiChannel.from_probabilities, "q", "memory", "row", "initial_symbol"),
+}
+CHANNEL_KINDS = tuple(_CHANNELS)
+
+
+def _parameter(values: dict[str, str], rows: list, key: str, where: str):
+    """Channel parameter ``key``: whole for q, memory and initial_symbol (1 if absent), else real."""
+    if key == "row":
+        if not rows:
+            msg = f"{where}: the channel needs transition table 'row' lines"
+            raise InvalidParams(msg)
+        return np.array(rows, dtype=np.float64)
+    if key == "map":
+        return _floats(values["map"], f"{where} map") if "map" in values else None
+    text, where = _require({"initial_symbol": "1"} | values, key, where), f"{where} {key}"
+    return _ints(text, 1, where)[0] if key in ("q", "memory", "initial_symbol") else _floats(text, where, 1)[0]
+
+
 def read_channel_file(path: str):
     """Load a channel description from ``key value`` lines."""
-    lines = _content_lines(path)
-    values, rows = _parse_keyed(lines, path)
+    values, rows = _parse_keyed(_content_lines(path), path)
     kind = _require(values, "kind", path)
     if kind not in CHANNEL_KINDS:
         msg = f"{path}: unknown channel kind {kind!r} (expected one of {CHANNEL_KINDS})"
         raise InvalidParams(msg)
-    if kind == "bsc":
-        return DiscreteChannel.bsc(float(_require(values, "p", path)))
-    if kind == "qsc":
-        return DiscreteChannel.symmetric(
-            int(_require(values, "q", path)), float(_require(values, "p", path))
-        )
-    if kind == "dmc":
-        if not rows:
-            msg = f"{path}: dmc needs transition table 'row' lines"
-            raise InvalidParams(msg)
-        return DiscreteChannel.from_probabilities(np.array(rows, dtype=np.float64))
-    if kind == "awgn":
-        sigma = float(_require(values, "sigma", path))
-        points = None
-        if "map" in values:
-            points = _floats(values["map"], f"{path} map")
-        return ContinuousChannel.awgn(sigma, points)
-    if kind == "erasure":
-        return ErasureChannel(erasure_probability=float(_require(values, "p", path)))
-    q = int(_require(values, "q", path))
-    memory = int(_require(values, "memory", path))
-    initial = int(values.get("initial_symbol", "1"))
-    if not rows:
-        msg = f"{path}: isi-dmc needs transition table 'row' lines"
-        raise InvalidParams(msg)
-    return IsiChannel.from_probabilities(
-        q, memory, np.array(rows, dtype=np.float64), initial_symbol=initial
-    )
+    make, *keys = _CHANNELS[kind]
+    return make(*(_parameter(values, rows, key, path) for key in keys))
 
 
 def parse_channel_spec(spec: str):
@@ -169,16 +171,13 @@ def parse_channel_spec(spec: str):
     """
     kind, sep, rest = spec.partition(":")
     if sep and kind in CHANNEL_KINDS and not os.path.exists(spec):
-        parts = _floats(rest, f"channel spec {spec!r}") if rest else []
-        if kind == "bsc" and len(parts) == 1:
-            return DiscreteChannel.bsc(parts[0])
-        if kind == "qsc" and len(parts) == 2:
-            return DiscreteChannel.symmetric(int(parts[0]), parts[1])
-        if kind == "awgn" and len(parts) >= 1:
-            points = parts[1:] if len(parts) > 1 else None
-            return ContinuousChannel.awgn(parts[0], points)
-        if kind == "erasure" and len(parts) == 1:
-            return ErasureChannel(erasure_probability=parts[0])
+        make, *keys = _CHANNELS[kind]
+        fields = rest.replace(",", " ").split()
+        if kind == "awgn":  # sigma, then any number of map values
+            fields[1:] = [" ".join(fields[1:])] if len(fields) > 1 else []
+        if "row" not in keys and len(keys) - (kind == "awgn") <= len(fields) <= len(keys):
+            values, where = dict(zip(keys, fields)), f"channel spec {spec!r}"
+            return make(*(_parameter(values, [], key, where) for key in keys))
         msg = f"channel spec {spec!r} is malformed; {kind} tables need a channel file"
         raise InvalidParams(msg)
     return read_channel_file(spec)

@@ -160,11 +160,47 @@ class MailmanBlock:
 
 @dataclass(frozen=True)
 class MailmanFactorization:
-    """Block decomposition of a binary matrix for the fast product."""
+    """Block decomposition of a binary matrix for the fast product.
+
+    It takes only the blocks ``factorize`` makes, so the products check none
+    (else ``InvalidParams``): heights ``_block_heights(rows, cols)``, block b
+    at row b*h, and per column one pattern index in [0, 2^height), read-only.
+    """
 
     rows: int
     cols: int
     blocks: tuple[MailmanBlock, ...]
+    # Writeable views of the pattern indices: np.take copies a read-only index.
+    _indices: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.cols < 1 or self.rows < 0:
+            msg = f"a factorization needs rows >= 0 and cols >= 1, got {self.rows}x{self.cols}"
+            raise InvalidParams(msg)
+        heights = _block_heights(self.rows, self.cols)
+        layout = [(height, b * heights[0]) for b, height in enumerate(heights)]
+        if [(block.height, block.row_offset) for block in self.blocks] != layout:
+            msg = f"a {self.rows}x{self.cols} factorization has blocks (height, offset) {layout}"
+            raise InvalidParams(msg)
+        for block in self.blocks:
+            index = block.correspondence
+            if not isinstance(index, np.ndarray) or index.dtype.kind not in "iu" or index.shape != (self.cols,):
+                msg = f"each block's pattern indices must be a ({self.cols},) integer array"
+                raise InvalidParams(msg)
+            if not 0 <= index.min() <= index.max() < 1 << block.height:
+                msg = f"pattern indices of a block of height {block.height} must lie in [0, 2^{block.height})"
+                raise InvalidParams(msg)
+        indices = tuple(block.correspondence for block in self.blocks)
+        object.__setattr__(self, "_indices", tuple(i.view() if i.flags.writeable else i.copy() for i in indices))
+        for index in indices:  # only once every block passed
+            index.setflags(write=False)
+
+    @classmethod
+    def _built(cls, rows: int, cols: int, blocks: tuple, indices: tuple) -> "MailmanFactorization":
+        """A factorization ``factorize`` built, whose construction already meets every check."""
+        fact = object.__new__(cls)
+        fact.__dict__.update(rows=rows, cols=cols, blocks=blocks, _indices=indices)
+        return fact
 
     def reconstruct(self) -> BinaryMatrix:
         """Rebuild the exact matrix from the pattern indices."""
@@ -226,7 +262,7 @@ def factorize(
     if [row for row in layout if row >= 0] != list(range(len(entry))):
         msg = "the row map must number its rows 0, 1, 2, ... in (position, value) order"
         raise InvalidParams(msg)
-    heights = _block_heights(len(entry), cols) if entry else []
+    heights = _block_heights(len(entry), cols)
     h = heights[0] if heights else 1
     # Block b's rows lie in positions lo[b]..hi[b]-1.  Its table holds, for
     # each (i, v) there, the bit v sets in the pattern index (first row on
@@ -258,8 +294,10 @@ def factorize(
         for b, table in enumerate(tables):
             np.add.reduce(table.take(index[lo[b] : hi[b]]), axis=0, out=sums[b])
         patterns[:, start : start + step] = sums
+    indices = tuple(patterns)  # views made before the rows turn read-only stay writeable
+    patterns.setflags(write=False)
     blocks = tuple(MailmanBlock(height, b * h, patterns[b]) for b, height in enumerate(heights))
-    return MailmanFactorization(rows=len(entry), cols=cols, blocks=blocks)
+    return MailmanFactorization._built(len(entry), cols, blocks, indices)
 
 
 def vec_times_universal(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -340,84 +378,58 @@ def vec_times_matrix(
     tile would be narrower than ``_MIN_TILE``.
     """
     vector, count = _check_vectors(vector, factorization.rows)
+    if ops is not None:
+        ops.additions += count * op_count(factorization).additions
     tile = _TILE_BYTES // (8 * factorization.cols)
     step = tile if tile >= _MIN_TILE else 1
     if count <= step:
-        return _product(vector, factorization, ops)
+        return _product(vector, factorization)
     # A single vector's (S,) result stacks as one row of the batch.
     return np.vstack([
-        _product(vector[start] if step == 1 else vector[start : start + step], factorization, ops)
+        _product(vector[start] if step == 1 else vector[start : start + step], factorization)
         for start in range(0, count, step)
     ])
 
 
-def _product(vector: np.ndarray, factorization: MailmanFactorization, ops) -> np.ndarray:
+def _product(vector: np.ndarray, factorization: MailmanFactorization) -> np.ndarray:
     """``vec_times_matrix`` on one vector or one tile of a batch."""
     cols = factorization.cols
+    blocks = factorization.blocks
+    if not blocks:
+        return np.zeros(vector.shape[:-1] + (cols,))
     if vector.ndim == 1:
-        blocks = factorization.blocks
-        segments = [vector[block.row_offset : block.row_offset + block.height] for block in blocks]
-        heights = [len(segment) for segment in segments]
-        # Blocks before the first height outside [1, MAX_BLOCK_HEIGHT] run and
-        # raise as they would alone; that block then raises.
-        good = next((b for b, h in enumerate(heights) if not 1 <= h <= MAX_BLOCK_HEIGHT), len(blocks))
-        widest = max(heights[:good], default=0)
-        per = max(1, _TILE_BYTES // (8 << widest))  # rows of a table that fits _TILE_BYTES
-        table = np.empty((min(per, good), 1 << widest))
+        per = max(1, _TILE_BYTES // (8 << blocks[0].height))  # rows of a table that fits _TILE_BYTES
+        table = np.empty((min(per, len(blocks)), 1 << blocks[0].height))
         table[:, 0] = 0.0
-        out, start = None, 0
-        while start < len(blocks):
-            if start == good:
-                msg = f"universal height {heights[start]} outside [1, {MAX_BLOCK_HEIGHT}]"
-                raise HeightOutOfRange(msg)
-            # A sweep takes blocks of non-increasing height, so the rows still
-            # doubling at each step are a prefix; a rise starts a new sweep.
-            stop = start + 1
-            while stop < min(start + per, good) and heights[stop] <= heights[stop - 1]:
-                stop += 1
-            _tabulate_rows(segments[start:stop], table)
-            for b in range(start, stop):
-                # A block's table is the first 2^height entries of its row, so
-                # its own bounds wrap or refuse an index.
-                gather = table[b - start, : 1 << heights[b]].take(blocks[b].correspondence)
-                if out is None and gather.shape == (cols,):
-                    out = gather  # the sum so far: 0.0 + x == x, as no entry is -0.0
-                else:  # a hand-made correspondence of another length broadcasts or is refused
-                    out = np.zeros(cols) if out is None else out
-                    np.add(out, gather, out=out)
+        out = None
+        for start in range(0, len(blocks), per):
+            sweep = blocks[start : start + per]
+            _tabulate_rows([vector[block.row_offset : block.row_offset + block.height] for block in sweep], table)
+            for row, block, index in zip(table, sweep, factorization._indices[start : start + per]):
+                # A block's table is the first 2^height entries of its row.  The
+                # first gather is the sum so far: 0.0 + x == x, as no entry is -0.0.
+                gather = row[: 1 << block.height].take(index)
+                out = gather if out is None else np.add(out, gather, out=out)
                 del gather  # freed before the next block's gather is made
-                if ops is not None:
-                    ops.additions += (1 << blocks[b].height) - 1 + cols
-            start = stop
-        return np.zeros(cols) if out is None else out
+        return out
     count = vector.shape[0]
     # One column per vector, so tables and sums keep patterns on axis 0.
     columns = vector.T
     total = _buffer("total", cols * count).reshape(cols, count)
     gather = _buffer("gather", cols * count).reshape(cols, count)
-    if not factorization.blocks:
-        total[...] = 0.0
-    for index, block in enumerate(factorization.blocks):
-        # With mode="raise", np.take would write to a hidden copy of
-        # ``out``, so the gather wraps instead and this refuses what
-        # "raise" refuses: a pattern index outside [-2^h, 2^h).  Batched
-        # and single products then agree on every index, valid or not.
+    for b, (block, index) in enumerate(zip(blocks, factorization._indices)):
         size = 1 << block.height
-        if block.correspondence.min() < -size or block.correspondence.max() >= size:
-            msg = f"pattern index out of bounds for the {size} patterns of a block"
-            raise IndexError(msg)
         rows = columns[block.row_offset : block.row_offset + block.height]
         table = _buffer("table", count * size).reshape(size, count)
         vec_times_universal(rows, out=table)
         # np.take copies whole rows; fancy indexing of a narrow 2-d table
         # runs element by element and is several times slower.  The first
         # block's gather is the sum so far: 0.0 + x == x, as no table
-        # entry is -0.0 (each is +0.0 plus weights).
-        np.take(table, block.correspondence, axis=0, out=gather if index else total, mode="wrap")
-        if index:
+        # entry is -0.0 (each is +0.0 plus weights).  Every index is in
+        # range; "wrap" as "raise" writes through a hidden copy of ``out``.
+        np.take(table, index, axis=0, out=gather if b else total, mode="wrap")
+        if b:
             np.add(total, gather, out=total)
-        if ops is not None:
-            ops.additions += count * (size - 1 + cols)
     # A fresh row-major (B, S): per-row scans of the scores then run over
     # contiguous memory, and the result never aliases the workspace.
     return total.T.copy()

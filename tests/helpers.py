@@ -107,8 +107,6 @@ def reference_codebook(
     blocks = tuple(MailmanBlock(*block) for block in patterns_by_matmul(dense))
     rows, cols = dense.shape
     return CodebookMatrix(
-        rows=rows,
-        cols=cols,
         factorization=MailmanFactorization(rows=rows, cols=cols, blocks=blocks),
         block_size=block_size,
         memory=memory,
@@ -176,8 +174,7 @@ def product_per_block(vector: np.ndarray, factorization, ops: OpCount | None = N
     """Reference single-vector product: each block tabulated on its own, gathers summed in block order.
 
     Every block makes its own ``vec_times_universal`` table of its segment
-    and adds ``np.take`` of it into a zero-initialized sum, so an index
-    is wrapped or refused by that block's own 2^height entries.
+    and adds ``np.take`` of it into a zero-initialized sum.
     """
     out = np.zeros(factorization.cols)
     for block in factorization.blocks:

@@ -100,6 +100,16 @@ def test_erasure_observation_from_string():
         ErasureObservation.from_string("102")
 
 
+def test_a_batch_of_erasure_words_prints_one_line_per_word():
+    words = ["10e1e", "eeeee", "01100"]
+    singles = [ErasureObservation.from_string(word) for word in words]
+    batch = ErasureObservation(values=np.stack([single.values for single in singles]))
+    assert str(batch).splitlines() == words
+    for word, single in zip(words, singles):
+        assert str(single) == word
+        np.testing.assert_array_equal(ErasureObservation.from_string(str(single)).values, single.values)
+
+
 def test_bipolar_received_vector():
     obs = ErasureObservation.from_string("1e0")
     np.testing.assert_array_equal(bipolar_received_vector(obs), [1.0, 0.0, -1.0])

@@ -362,3 +362,41 @@ def test_a_wrong_length_word_in_a_file_is_a_domain_error(hamming_file, tmp_path,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
+
+
+_ISI_ROWS = ISI_CHANNEL[ISI_CHANNEL.index("row") :]
+
+
+@pytest.mark.parametrize(
+    ("channel", "argv"),
+    [
+        pytest.param("kind bsc\np abc\n", None, id="file-p"),
+        pytest.param("kind erasure\np 0.1 0.2\n", None, id="file-p-twice"),
+        pytest.param("kind qsc\nq 2.5\np 0.1\n", None, id="file-q"),
+        pytest.param("kind awgn\nsigma abc\n", None, id="file-sigma"),
+        pytest.param("kind awgn\nsigma 0.8\nmap 1 x\n", None, id="file-map"),
+        pytest.param("kind isi-dmc\nq 2\nmemory 1.5\n" + _ISI_ROWS, None, id="file-memory"),
+        pytest.param("kind isi-dmc\nq 2\nmemory 1\ninitial_symbol 1.0\n" + _ISI_ROWS, None, id="file-initial"),
+        pytest.param("qsc:2.5,0.1", None, id="spec-q"),
+        pytest.param("bsc:x", None, id="spec-p"),
+        pytest.param("awgn:0.8,1,x", None, id="spec-map"),
+        pytest.param(None, ["bench", "--rows", "8,x", "--cols", "16"], id="bench-rows"),
+        pytest.param(None, ["bench", "--rows", "8", "--cols", "16.5"], id="bench-cols"),
+        pytest.param(
+            None, ["simulate", "--random-code", "2,7,x,1", "--channel", "bsc:0.1", "--trials", "1"],
+            id="random-code",
+        ),
+    ],
+)
+def test_malformed_numbers_are_domain_errors(toy_code_file, tmp_path, capsys, channel, argv):
+    # Each numeric field is parsed as its type: a word, a fraction where a
+    # whole number belongs, or a second value is refused, never truncated.
+    if argv is None:
+        if "\n" in channel:
+            (tmp_path / "chan").write_text(channel)
+            channel = str(tmp_path / "chan")
+        argv = ["decode", "--code", toy_code_file, "--channel", channel, "--rx", "000"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err

@@ -73,8 +73,8 @@ def test_tiled_batch_equals_per_row_bitwise(monkeypatch, tile, widths):
 
 
 def _recording(product, tiles):
-    def recorded(vector, factorization, ops):
+    def recorded(vector, factorization):
         tiles.append(1 if vector.ndim == 1 else vector.shape[0])
-        return product(vector, factorization, ops)
+        return product(vector, factorization)
 
     return recorded

@@ -6,10 +6,13 @@ rows per sweep as a ``_TILE_BYTES`` table holds.  Every table entry and
 every sum must be formed as ``helpers.product_per_block`` forms it, so a
 single product equals that formula and the vector's row of a batched
 product bit for bit (signed zeros included), and tallies ``op_count``.
+The sweep checks no block, so the factorization contract is pinned here
+too: what ``factorize`` builds passes the public constructor, and every
+block it would not build is refused when the factorization is made.
 Kept apart from ``test_mailman.py`` because it needs ``hypothesis``.
 """
 
-import re
+import dataclasses
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from hypothesis import strategies as st
 import fastmld.mailman as mailman
 from fastmld import (
     BinaryMatrix,
-    HeightOutOfRange,
+    InvalidParams,
     MailmanFactorization,
     OpCount,
     build_bipolar_codebook,
@@ -117,81 +120,88 @@ def test_single_product_equals_the_per_block_formula(layout, q, n, size, special
     assert all(nbytes <= max(budget, 8 << widest) for _, nbytes in sweeps)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    heights=st.lists(st.integers(1, 6), min_size=1, max_size=6),
-    extra_rows=st.integers(0, 4),
-    cols=st.integers(1, 40),
-    fault=st.sampled_from([None, "above", "below"]),
-    truncate=st.booleans(),
+    layout=st.sampled_from(LAYOUTS),
+    q=st.integers(2, 3),
+    n=st.integers(1, 10),
+    size=st.one_of(st.integers(1, 3), st.integers(1, 4096)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_hand_made_blocks_keep_the_per_block_results_and_errors(
-    heights, extra_rows, cols, fault, truncate, seed
-):
-    # Blocks of any height in any order, overlapping or not, with indices
-    # anywhere in [-2^height, 2^height) that take wraps; a fault puts one
-    # index just outside.  A truncated block's segment runs past the last
-    # row, or starts there and is refused as empty.  Errors must come from
-    # the same block, with the same type and message.
+def test_factorize_builds_what_the_public_constructor_takes(layout, q, n, size, seed):
     rng = np.random.default_rng(seed)
-    rows = max(heights) + extra_rows
-    blocks = []
-    for height in heights:
-        offset = int(rng.integers(0, rows + 1 if truncate else rows - height + 1))
-        correspondence = rng.integers(-(1 << height), 1 << height, size=cols)
-        blocks.append(MailmanBlock(height, offset, correspondence))
-    if fault is not None:
-        at = int(rng.integers(len(blocks)))
-        bound = 1 << blocks[at].height
-        blocks[at].correspondence[int(rng.integers(cols))] = bound if fault == "above" else -bound - 1
-    fact = MailmanFactorization(rows=rows, cols=cols, blocks=tuple(blocks))
-    vectors = _vectors(rng, 2, rows, 0.1)
-    for vector in vectors:
-        try:
-            expected = product_per_block(vector, fact)
-        except (IndexError, HeightOutOfRange) as error:
-            with pytest.raises(type(error), match=f"^{re.escape(str(error))}$"):
-                vec_times_matrix(vector, fact)
-            continue
-        assert _same_bits(vec_times_matrix(vector, fact), expected)
-    if not truncate:
-        try:
-            rows_alone = np.stack([product_per_block(v, fact) for v in vectors])
-        except IndexError:
-            with pytest.raises(IndexError):
-                vec_times_matrix(vectors, fact)
-        else:
-            assert _same_bits(vec_times_matrix(vectors, fact), rows_alone)
+    fact = _factorization(layout, q, n, size, rng)
+    for block in fact.blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            block.correspondence[0] = 0
+    again = MailmanFactorization(fact.rows, fact.cols, fact.blocks)
+    assert again == fact == dataclasses.replace(fact)
+    vectors = _vectors(rng, 2, fact.rows, 0.1)
+    assert _same_bits(vec_times_matrix(vectors[0], again), vec_times_matrix(vectors[0], fact))
+    assert _same_bits(vec_times_matrix(vectors, again), vec_times_matrix(vectors, fact))
 
 
-def test_blocks_past_the_last_row_are_refused_as_before():
-    past = MailmanBlock(2, 5, np.array([0, 1, 3]))
-    fact = MailmanFactorization(rows=5, cols=3, blocks=(past,))
-    for product in (product_per_block, vec_times_matrix):
-        with pytest.raises(HeightOutOfRange, match="universal height 0 outside"):
-            product(np.ones(5), fact)
-    # An earlier block's bad index is refused first, as its gather comes
-    # before the later block is tabulated.
-    bad_index = MailmanBlock(2, 0, np.array([0, 4, 1]))
-    fact = MailmanFactorization(rows=5, cols=3, blocks=(bad_index, past))
-    for product in (product_per_block, vec_times_matrix):
-        with pytest.raises(IndexError):
-            product(np.ones(5), fact)
+BREAKS = ("height", "offset", "missing", "rows", "float", "2-d", "short", "long", "-1", "2^h", "-2^h")
 
 
-def test_a_correspondence_of_another_length_adds_in_as_before():
-    # One index broadcasts over every column; three do not fit two.
-    for correspondence, cols in (([3], 2), ([0, 1, 2], 2)):
-        block = MailmanBlock(2, 0, np.array(correspondence))
-        fact = MailmanFactorization(rows=2, cols=cols, blocks=(block,))
-        try:
-            expected = product_per_block(np.array([1.0, 2.0]), fact)
-        except ValueError as error:
-            with pytest.raises(ValueError, match=re.escape(str(error))):
-                vec_times_matrix(np.array([1.0, 2.0]), fact)
-        else:
-            assert _same_bits(vec_times_matrix(np.array([1.0, 2.0]), fact), expected)
+@settings(max_examples=150, deadline=None)
+@given(
+    layout=st.sampled_from(LAYOUTS),
+    n=st.integers(1, 10),
+    size=st.integers(1, 4096),
+    fault=st.sampled_from(BREAKS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_blocks_factorize_would_not_build_are_refused(layout, n, size, fault, seed):
+    # Each fault breaks one block of a factorization ``factorize`` built;
+    # the public constructor and ``dataclasses.replace`` must refuse it.
+    rng = np.random.default_rng(seed)
+    fact = _factorization(layout, 2, n, size, rng)
+    blocks, rows = list(fact.blocks), fact.rows
+    at = int(rng.integers(len(blocks)))
+    block, index = blocks[at], blocks[at].correspondence.copy()
+    column = int(rng.integers(fact.cols))
+    if fault == "height":
+        blocks[at] = dataclasses.replace(block, height=block.height + int(rng.choice([-1, 1])))
+    elif fault == "offset":
+        blocks[at] = dataclasses.replace(block, row_offset=block.row_offset + 1)
+    elif fault == "missing":
+        del blocks[at]
+    elif fault == "rows":
+        rows += 1
+    elif fault == "float":
+        blocks[at] = dataclasses.replace(block, correspondence=index.astype(np.float64))
+    elif fault == "2-d":
+        blocks[at] = dataclasses.replace(block, correspondence=index[None, :])
+    elif fault in ("short", "long"):
+        changed = index[:-1] if fault == "short" else np.append(index, 0)
+        blocks[at] = dataclasses.replace(block, correspondence=changed)
+    else:
+        index[column] = {"-1": -1, "2^h": 1 << block.height, "-2^h": -(1 << block.height)}[fault]
+        blocks[at] = dataclasses.replace(block, correspondence=index)
+    with pytest.raises(InvalidParams):
+        MailmanFactorization(rows, fact.cols, tuple(blocks))
+    with pytest.raises(InvalidParams):
+        dataclasses.replace(fact, rows=rows, blocks=tuple(blocks))
+
+
+def test_a_factorization_needs_a_column_and_no_blocks_without_rows():
+    with pytest.raises(InvalidParams):
+        MailmanFactorization(0, 0, ())
+    with pytest.raises(InvalidParams):
+        MailmanFactorization(0, 3, (MailmanBlock(1, 0, np.array([0, 1, 0])),))
+    empty = MailmanFactorization(0, 3, ())
+    assert _same_bits(vec_times_matrix(np.zeros(0), empty), np.zeros(3))
+    # The caller's pattern indices become read-only, as a code's codewords
+    # do, but only once every block has passed.
+    good, bad = np.array([0, 3, 1, 2]), np.array([0, 4, 0, 0])
+    with pytest.raises(InvalidParams):
+        MailmanFactorization(4, 4, (MailmanBlock(2, 0, good), MailmanBlock(2, 2, bad)))
+    good[0], bad[1] = 1, 3  # both still writeable
+    MailmanFactorization(4, 4, (MailmanBlock(2, 0, good), MailmanBlock(2, 2, bad)))
+    for index in (good, bad):
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,8 +5,8 @@ between calls (``mailman._workspace``).  These tests pin what that reuse
 must not change: results equal fresh sequential ones bit for bit under
 concurrent threads, a returned array never changes under a later call,
 a call allocates little beyond its result, the buffers grow when
-``_TILE_BYTES`` grows, the batched gather takes the pattern indices
-the single-vector one takes and refuses the rest, and repeated Monte Carlo
+``_TILE_BYTES`` grows, the batched and single-vector gathers agree
+on every pattern index a factorization takes, and repeated Monte Carlo
 calls fault in no fresh pages for what they allocate outside the workspace.
 """
 
@@ -159,18 +159,20 @@ def _index_cases(block, cases):
     return [pytest.param(block, *case, id=(block and f"{block}-") + "-".join(map(str, case))) for case in cases]
 
 
+_INDICES = [(0, 0, False), (1, -1, False), (1, 0, True), (-1, -1, True), (0, -1, True), (-1, 0, True)]
+
+
 @pytest.mark.parametrize(
     ("block", "scale", "shift", "refused"),
-    _index_cases("", [(1, 0, True), (-1, -1, True), (0, -1, False), (-1, 0, False)])
+    _index_cases("", _INDICES)
     # The short last block (height 2 of 8) shares its sweep's 2^8-wide row,
-    # but takes only indices in [-4, 4): 255 and -256 lie inside the row.
-    + _index_cases("short", [(1, 0, True), (-1, -1, True), (0, -1, False), (-1, 0, False)])
-    + _index_cases("short", [(64, -1, True), (-64, 0, True)]),
+    # but takes only indices in [0, 4): 255 lies inside the row.
+    + _index_cases("short", _INDICES + [(64, -1, True), (-64, 0, True)]),
 )
 def test_batched_and_single_products_agree_on_any_pattern_index(block, scale, shift, refused):
-    # numpy's take reads an index in [-2^h, 2^h) and refuses one outside;
-    # a hand-made block may hold either.  Single products must refuse or
-    # wrap it as the per-block formula does.
+    # A factorization takes exactly the indices in [0, 2^height), where
+    # numpy's take would also wrap [-2^height, 0); the single, batched and
+    # per-block products agree on each index it takes.
     rng = np.random.default_rng(75)
     factorization = build_codebook_matrix(random_code(rng, 2, 9, 300)).factorization
     at = -1 if block else 0
@@ -180,18 +182,15 @@ def test_batched_and_single_products_agree_on_any_pattern_index(block, scale, sh
     correspondence[7] = scale * (1 << edited.height) + shift
     blocks = list(factorization.blocks)
     blocks[at] = dataclasses.replace(edited, correspondence=correspondence)
+    if refused:
+        with pytest.raises(InvalidParams, match=r"must lie in \[0, 2\^"):
+            dataclasses.replace(factorization, blocks=tuple(blocks))
+        return
     made = dataclasses.replace(factorization, blocks=tuple(blocks))
     vectors = rng.standard_normal((4, factorization.rows))
-    if refused:
-        for vector in (vectors[0], vectors):
-            with pytest.raises(IndexError):
-                vec_times_matrix(vector, made)
-        with pytest.raises(IndexError):
-            product_per_block(vectors[0], made)
-    else:
-        singles = np.stack([vec_times_matrix(v, made) for v in vectors])
-        assert np.array_equal(vec_times_matrix(vectors, made), singles)
-        assert np.array_equal(singles, np.stack([product_per_block(v, made) for v in vectors]))
+    singles = np.stack([vec_times_matrix(v, made) for v in vectors])
+    assert np.array_equal(vec_times_matrix(vectors, made), singles)
+    assert np.array_equal(singles, np.stack([product_per_block(v, made) for v in vectors]))
 
 
 def test_universal_product_writes_into_out():

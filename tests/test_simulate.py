@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -324,5 +325,4 @@ def test_chunk_size_follows_the_largest_per_trial_array():
     assert run_monte_carlo(config).word_errors == 0
     # Wide score rows: 8 trials at S = 2^14, fewer beyond, never none.
     for cols, expected in ((1 << 14, 8), (1 << 15, 4), (1 << 24, 1)):
-        shaped = dataclasses.replace(codebook, rows=6, cols=cols)
-        assert simulate._chunk_trials(shaped) == expected
+        assert simulate._chunk_trials(SimpleNamespace(rows=6, cols=cols)) == expected
