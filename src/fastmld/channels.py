@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,6 +70,17 @@ def _checked_log_transition(log_transition, rows: int, cols: int) -> np.ndarray:
     return table
 
 
+def _log_magnitude(channel) -> float:
+    """Largest magnitude of a finite entry of the channel's log table (0.0 if none).
+
+    Each position's entry of a likelihood vector is at most this far from
+    zero, or -inf.
+    """
+    table = channel.log_transition
+    finite = table[np.isfinite(table)]
+    return float(np.abs(finite).max()) if finite.size else 0.0
+
+
 @dataclass(frozen=True)
 class DiscreteChannel:
     """Memoryless channel over finite alphabets, stored as log P(y|x).
@@ -87,6 +99,8 @@ class DiscreteChannel:
             raise InvalidParams(msg)
         table = _checked_log_transition(self.log_transition, self.q, self.output_alphabet_size)
         object.__setattr__(self, "log_transition", table)
+
+    log_magnitude = cached_property(_log_magnitude)
 
     @classmethod
     def from_probabilities(cls, probabilities: np.ndarray) -> "DiscreteChannel":
@@ -255,6 +269,8 @@ class IsiChannel:
         rows = self.q ** (self.memory + 1)
         table = _checked_log_transition(self.log_transition, rows, self.output_alphabet_size)
         object.__setattr__(self, "log_transition", table)
+
+    log_magnitude = cached_property(_log_magnitude)
 
     @property
     def tuple_count(self) -> int:

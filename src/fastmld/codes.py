@@ -10,8 +10,10 @@ binary words of length n-k scores syndromes.  Erasure decoding uses the bit
 layout of a binary code instead: one row per position, set where the bit
 is 1.  Every codebook is a ``CodebookMatrix`` with a factorization.
 
-Codebooks are factorized straight from the codewords' symbols and the
-layout's row map; the matrix itself is rebuilt only when read.
+Codebooks are factorized straight from the codewords' symbols: by row
+blocks through the layout's row map, or, for the tuple codebook, by blocks
+of consecutive positions whose indices are the symbols' base-q digits.
+The matrix itself is rebuilt only when read.
 
 Symbols are 1-based at every public boundary; all internal index
 arithmetic shifts to 0-based immediately on entry.
@@ -34,7 +36,9 @@ from .mailman import (
     MAX_MATRIX_BITS,
     BinaryMatrix,
     MailmanFactorization,
+    TupleFactorization,
     factorize,
+    position_span,
 )
 
 #: Cap on the number of codewords an enumeration may materialize.
@@ -133,10 +137,13 @@ class CodebookMatrix:
     width of each position's block (q, or q^(L+1) when L memory taps are
     baked in) and the column sets one row per block.  In the bit layout of
     a binary code (``block_size`` 1) each position has one row, set where
-    the codeword's bit is 1.  ``rows`` and ``cols`` are the factorization's.
+    the codeword's bit is 1.  The tuple codebook of
+    ``build_codebook_matrix_isi`` holds a ``TupleFactorization``, every
+    other one a ``MailmanFactorization``.  ``rows`` and ``cols`` are the
+    factorization's.
     """
 
-    factorization: MailmanFactorization
+    factorization: MailmanFactorization | TupleFactorization
     block_size: int
     memory: int = 0
     initial_symbol: int = 1
@@ -262,14 +269,22 @@ def tuple_indices(
     ``(n,)`` or words stacked along leading axes ``(..., n)``; the indices
     take the same shape.
     """
+    _check_memory(q, memory, initial_symbol)
+    # Checked in the narrow type, shifted straight into the int64 tuple digits.
+    return _tuple_digits(q, memory, validate_symbols(q, codeword, np.min_scalar_type(q)), initial_symbol)
+
+
+def _check_memory(q: int, memory: int, initial_symbol: int) -> None:
     if memory < 0:
         msg = f"memory must be >= 0, got {memory}"
         raise InvalidParams(msg)
     if not 1 <= initial_symbol <= q:
         msg = f"initial symbol {initial_symbol} must lie in 1..{q}"
         raise SymbolOutOfRange(msg)
-    # Checked in the narrow type, shifted straight into the int64 tuple digits.
-    word = validate_symbols(q, codeword, np.min_scalar_type(q))
+
+
+def _tuple_digits(q: int, memory: int, word: np.ndarray, initial_symbol: int) -> np.ndarray:
+    """``tuple_indices`` of symbols already checked, such as a ``Code``'s codewords."""
     padded = np.full(word.shape[:-1] + (memory + word.shape[-1],), initial_symbol - 1, dtype=np.int64)
     index = np.subtract(word, 1, out=padded[..., memory:])
     for lag in range(1, memory + 1):  # Horner, down to the oldest predecessor
@@ -277,27 +292,24 @@ def tuple_indices(
     return index
 
 
-def _codebook(
-    symbols: np.ndarray, first: int, block_size: int, memory: int = 0, initial: int = 1
-) -> CodebookMatrix:
+def _check_cap(n: int, block_size: int, cols: int) -> None:
+    if n * block_size * cols > MAX_MATRIX_BITS:
+        msg = f"codebook of {n * block_size}x{cols} bits exceeds the cap of {MAX_MATRIX_BITS}"
+        raise CapacityExceeded(msg)
+
+
+def _codebook(symbols: np.ndarray, first: int, block_size: int) -> CodebookMatrix:
     """Factorize the codebook whose column j holds ``symbols[:, j]``, counted from ``first``.
 
     One-hot layout: value first + v at position i sets row i*block_size + v.
     Bit layout (``block_size`` 1): value first + 1 sets row i.
     """
     n, cols = symbols.shape
-    if n * block_size * cols > MAX_MATRIX_BITS:
-        msg = f"codebook of {n * block_size}x{cols} bits exceeds the cap of {MAX_MATRIX_BITS}"
-        raise CapacityExceeded(msg)
+    _check_cap(n, block_size, cols)
     row_map = np.full((n, first + max(block_size, 2)), -1)
     # In the bit layout value ``first`` sets no row.
     row_map[:, first + (block_size == 1) :] = np.arange(n * block_size).reshape(n, block_size)
-    return CodebookMatrix(
-        factorization=factorize(symbols, row_map),
-        block_size=block_size,
-        memory=memory,
-        initial_symbol=initial,
-    )
+    return CodebookMatrix(factorization=factorize(symbols, row_map), block_size=block_size)
 
 
 def build_codebook_matrix(code: Code) -> CodebookMatrix:
@@ -308,9 +320,37 @@ def build_codebook_matrix(code: Code) -> CodebookMatrix:
 def build_codebook_matrix_isi(
     code: Code, memory: int, initial_symbol: int = 1
 ) -> CodebookMatrix:
-    """Codebook matrix over symbol tuples for channels with ``memory`` taps."""
-    idx = tuple_indices(code.q, memory, code.codewords, initial_symbol).T
-    return _codebook(idx, 0, code.q ** (memory + 1), memory, initial_symbol)
+    """Codebook matrix over symbol tuples for channels with ``memory`` taps.
+
+    It is factorized by position blocks (``TupleFactorization``), whose
+    pattern indices are read by Horner's rule straight off the codewords,
+    a digit for all blocks at a time.  ``memory`` 0 is the memoryless
+    codebook in the same form.
+    """
+    _check_memory(code.q, memory, initial_symbol)
+    q, n, cols = code.q, code.n, code.size
+    width = q ** (memory + 1)
+    _check_cap(n, width, cols)
+    span = position_span(q, memory, cols)
+    blocks = -(-n // span)
+    digits = memory + span
+    # Block b's digit m is row b*span + m of the 1-based symbols, padded with
+    # the initial symbol in front and symbol 1 (digit 0) past the end; the
+    # sum of symbol * q^m exceeds the index by the sum of q^m.
+    padded = np.ones((memory + blocks * span, cols), dtype=np.min_scalar_type(q * (q**digits - 1) // (q - 1)))
+    padded[:memory] = initial_symbol
+    padded[memory : memory + n] = code.codewords.T
+    index = padded[digits - 1 :: span].copy()
+    for m in range(digits - 2, -1, -1):
+        index *= q
+        index += padded[m :: span][:blocks]
+    index -= (q**digits - 1) // (q - 1)
+    return CodebookMatrix(
+        factorization=TupleFactorization._built(q, memory, n, span, index.astype(np.intp)),
+        block_size=width,
+        memory=memory,
+        initial_symbol=initial_symbol,
+    )
 
 
 def build_bipolar_codebook(code: Code) -> CodebookMatrix:

@@ -9,16 +9,23 @@ only in the vector they build: log-likelihoods for ``ml_decode`` and
 then ``2*(v @ B) - sum(v)``), and syndrome bits for ``syndrome_decode``.
 A list decode is the same product plus its ranking: a stable sort up to
 ``_SORT_MAX_COLS`` codewords, and above that an O(S) top-L selection.
-ml, list and isi score on the one-hot codebook of the channel's memory:
-a channel with memory is priced per (symbol, predecessors) tuple, so ISI
-decoding is ``ml_decode`` on ``build_codebook_matrix_isi``, and
+A channel with memory is priced per (symbol, predecessors) tuple, so ISI
+decoding is ``ml_decode`` on ``build_codebook_matrix_isi``, whose
+position blocks cost about what memoryless decoding does, and
 ``isi_ml_decode`` is a second name for it.  Codeword indices in results
 are 1-based and stable: index i always refers to row i-1 of
 ``code.codewords``.
 
-Ties are exact by default: the tie set holds every index whose score is
-``>= max - tie_tolerance`` with tolerance 0, and the reported best index is
-the smallest of them.
+Ties are exact by default.  With tolerance 0 the tie set of a likelihood
+score (ml, isi and the oracle) holds the codewords whose ``math.fsum`` of
+the stored float64 log entries they read is the largest, so it does not
+depend on the order a kernel summed in; a decimal coincidence of
+probabilities ties only where those fsums are equal.  Only scores within
+the float error bound of a row's max are rescored, and a row with one
+such candidate needs none.  Erasure and distance scores are small
+integers and exact already.  A positive ``tie_tolerance`` ties every
+index whose score is ``>= max - tie_tolerance``.  The reported best index
+is the smallest tied.
 
 Every decoder also takes a batch: observations stacked along a leading
 axis decode through one batched product, and each result field gains that
@@ -30,11 +37,13 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channels import (
+    ContinuousChannel,
     ErasureObservation,
     IsiChannel,
     bipolar_received_vector,
@@ -44,6 +53,7 @@ from .codes import (
     Code,
     CodebookMatrix,
     LinearCode,
+    _tuple_digits,
     parity_check_from_generator,
     syndrome,
     whole_numbers,
@@ -68,6 +78,10 @@ from .mailman import OpCount, vec_times_matrix
 #: S = 128, but no benchmark workload ranks batches that narrow, so they
 #: keep the sort until one does.
 _SORT_MAX_COLS = 1024
+
+#: Unit roundoff of float64, and its largest finite value (a slack's cap).
+_UNIT_ROUNDOFF = 2.0**-53
+_LARGEST = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -132,25 +146,98 @@ def argmax_scan(scores: np.ndarray, tie_tolerance: float = 0.0) -> tuple[int, tu
     return ties[0], ties
 
 
-def _tie_mask(scores: np.ndarray, tie_tolerance: float) -> np.ndarray:
-    """Marks, per row of ``scores``, every entry within tolerance of the row's max."""
+def _tie_mask(scores: np.ndarray, tie_tolerance: float, slack: float | np.ndarray = 0.0) -> np.ndarray:
+    """Marks, per row of ``scores``, every entry within tolerance (plus ``slack``) of the row's max.
+
+    ``slack`` is a scalar or one value per row, ``(B, 1)``.
+    """
     if not (math.isfinite(tie_tolerance) and tie_tolerance >= 0.0):
         msg = f"tie tolerance must be finite and >= 0, got {tie_tolerance}"
         raise InvalidParams(msg)
     # A row's max read at its argmax: ``max`` over (1000, 16) scores is 1.9x slower.
     best = scores.argmax(axis=-1)
     if scores.ndim == 1:
-        return scores >= scores[best] - tie_tolerance
-    return scores >= scores[np.arange(len(scores)), best][:, None] - tie_tolerance
+        return scores >= scores[best] - (tie_tolerance + slack)
+    return scores >= scores[np.arange(len(scores)), best][:, None] - (tie_tolerance + slack)
 
 
-def _finish(code: Code, scores: np.ndarray, tie_tolerance: float) -> DecodeResult:
+def _slack(channel, vector: np.ndarray, n: int) -> float | np.ndarray:
+    """2*gamma: twice how far a float sum of a codeword's n likelihood terms can be from their exact sum.
+
+    A float sum of n terms in any order is within gamma_(n-1) =
+    (n-1)u / (1 - (n-1)u) times the sum of their magnitudes of the exact
+    sum (u = 2^-53), and the magnitudes sum to at most
+    sum_i max_s |v_is| over finite entries: n times the channel's
+    ``log_magnitude`` for a discrete channel, read from the vector
+    otherwise (one value per row, ``(B, 1)``, for a batch).  Three more
+    units of u cover the rounding of the exact sum itself and of the
+    candidate test, so every codeword whose exact sum rounds to the
+    largest one is a candidate.
+    """
+    k = (n + 2) * _UNIT_ROUNDOFF
+    factor = 2.0 * k / (1.0 - k)
+    if not isinstance(channel, ContinuousChannel):
+        return min(factor * n * channel.log_magnitude, _LARGEST)
+    magnitudes = np.abs(vector.reshape(vector.shape[:-1] + (n, -1)))
+    magnitudes[np.isinf(magnitudes)] = 0.0
+    slack = np.minimum(factor * magnitudes.max(axis=-1).sum(axis=-1), _LARGEST)
+    return slack[:, None] if vector.ndim == 2 else float(slack)
+
+
+def _exact_sums(code: Code, terms: tuple, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of the terms codeword ``cols[k]`` sums in vector row ``rows[k]``, for every k."""
+    vector, memory, initial, _ = terms
+    n, width = code.n, code.q ** (memory + 1)
+    entries = _tuple_digits(code.q, memory, code.codewords[cols], initial) + np.arange(n) * width
+    return np.array(list(map(math.fsum, vector.reshape(-1, n * width)[rows[:, None], entries].tolist())))
+
+
+def _exact_ties(code: Code, scores: np.ndarray, ties: np.ndarray, terms: tuple) -> None:
+    """Keep, in each row of the candidate mask ``ties`` with two or more, those of largest exact sum.
+
+    A row whose best score is -inf scores -inf everywhere, so all its
+    entries tie exactly and it is left as it is.
+    """
+    # Flat indices run row by row: a row with two candidates repeats.
+    row = np.flatnonzero(ties) // ties.shape[1]
+    rows = np.unique(row[1:][row[1:] == row[:-1]])
+    rows = rows[scores[rows].max(axis=1) > -math.inf]
+    candidates = ties[rows]
+    picks, cols = np.nonzero(candidates)
+    sums = np.full(candidates.shape, -math.inf)
+    sums[picks, cols] = _exact_sums(code, terms, rows[picks], cols)
+    ties[rows] = sums == sums.max(axis=1, keepdims=True)
+
+
+def _finish(code: Code, scores: np.ndarray, tie_tolerance: float, terms: tuple | None = None) -> DecodeResult:
+    """The result of scores whose row maxima decide; ``terms`` makes tolerance-0 ties exact.
+
+    ``terms`` is ``(vector, memory, initial, slack)`` for likelihood
+    scores: codeword c's score in row b sums the entries of ``vector``
+    (``(..., n*width)``, width = q^(memory+1)) at
+    ``tuple_indices(c) + i*width``, and ``slack`` is ``_slack``'s bound.
+    With tolerance 0 the candidates are every score within the slack of
+    the row's max, and a row with two or more of them keeps those whose
+    exact sums (``math.fsum``) are largest: the tie set then holds
+    exactly the codewords whose fsum is the largest, whatever order the
+    scores were summed in.
+    """
+    exact = terms is not None and tie_tolerance == 0.0
+    slack = terms[3] if exact else 0.0
     if scores.ndim == 1:
-        best, ties = argmax_scan(scores, tie_tolerance)
+        best, ties = argmax_scan(scores, tie_tolerance + slack)
+        if exact and len(ties) > 1:
+            cols = np.array(ties) - 1
+            if scores[cols].max() > -math.inf:  # else every score is -inf, and all tie
+                sums = _exact_sums(code, terms, np.zeros_like(cols), cols)
+                ties = tuple((cols[sums == sums.max()] + 1).tolist())
+                best = ties[0]
         best_score = float(scores[best - 1])
         implausible = best_score == -math.inf
     else:
-        ties = _tie_mask(scores, tie_tolerance)
+        ties = _tie_mask(scores, tie_tolerance, slack)
+        if exact and np.count_nonzero(ties) > len(ties):
+            _exact_ties(code, scores, ties, terms)
         best = ties.argmax(axis=1) + 1
         best_score = scores[np.arange(scores.shape[0]), best - 1]
         implausible = np.isneginf(best_score)
@@ -164,8 +251,8 @@ def _finish(code: Code, scores: np.ndarray, tie_tolerance: float) -> DecodeResul
     )
 
 
-def _likelihoods(codebook: CodebookMatrix, code: Code, channel, received, ops) -> np.ndarray:
-    """Every codeword's log-likelihood, in one product.
+def _likelihoods(codebook: CodebookMatrix, code: Code, channel, received, ops) -> tuple:
+    """Every codeword's log-likelihood, in one product, then the vector, memory and initial symbol.
 
     First checks that the code, the channel and the one-hot codebook were
     made for each other: a channel with memory needs the codebook of its
@@ -195,7 +282,8 @@ def _likelihoods(codebook: CodebookMatrix, code: Code, channel, received, ops) -
     if vector.shape[-1] != codebook.rows:
         msg = f"observation of length {np.shape(received)[-1]} does not match n={code.n}"
         raise DimensionMismatch(msg)
-    return vec_times_matrix(vector, codebook.factorization, ops=ops)
+    scores = vec_times_matrix(vector, codebook.factorization, ops=ops)
+    return scores, vector, memory, initial
 
 
 def ml_decode(
@@ -213,8 +301,8 @@ def ml_decode(
     channel.  A channel with memory needs ``build_codebook_matrix_isi``,
     which prices each position's (symbol, predecessors) tuple.
     """
-    scores = _likelihoods(codebook, code, channel, received, ops)
-    return _finish(code, scores, tie_tolerance)
+    scores, vector, memory, initial = _likelihoods(codebook, code, channel, received, ops)
+    return _finish(code, scores, tie_tolerance, (vector, memory, initial, _slack(channel, vector, code.n)))
 
 
 def _top(scores: np.ndarray, size: int) -> np.ndarray:
@@ -271,7 +359,7 @@ def list_decode(
     if not 1 <= size <= code.size:
         msg = f"list size {size} outside 1..{code.size}"
         raise ListSizeOutOfRange(msg)
-    scores = _likelihoods(codebook, code, channel, received, ops)
+    scores = _likelihoods(codebook, code, channel, received, ops)[0]
     order = _top(scores, size)
     if scores.ndim == 2:
         return ListDecodeResult(indices=order + 1, scores=np.take_along_axis(scores, order, axis=-1))

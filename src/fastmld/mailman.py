@@ -16,6 +16,13 @@ the rows of a ``(blocks, 2^h)`` table (as many as ``_TILE_BYTES`` holds)
 and run the doubling steps once, a shorter last block leaving after its
 own height; each block then gathers from the first 2^height of its row.
 
+A one-hot codebook over (symbol, predecessors) tuples has a cheaper form,
+``TupleFactorization``: blocks of g consecutive positions, each indexed
+by the base-q digits of the g symbols and the L before them, so its table
+holds only the q^(g+L) patterns that can occur.  Its tables are built
+position by position, every block's at once, and its gathers number
+ceil(n/g), as many as memoryless decoding needs.
+
 ``factorize`` reads each column's pattern indices straight off the symbols
 the column holds, so a codebook is never built as bits; ``reconstruct``
 rebuilds them on demand.  ``vec_times_matrix`` is the one product every
@@ -78,6 +85,12 @@ _MIN_TILE = 8
 
 # Column chunk budget (dense cells) used when unpacking big matrices.
 _DENSE_CHUNK_CELLS = 1 << 26
+
+#: Most entries of a ``TupleFactorization`` block's table, which sets how many
+#: positions a block spans (``position_span``).  On Golay ISI (L = 1, B = 32)
+#: tables of 2^6 to 2^10 entries ran within noise of each other, and 2^12
+#: about 1.4x slower: fewer gathers stop paying once the tables leave L1.
+_POSITION_TABLE = 1 << 8
 
 # Positions x columns of one chunk in ``factorize`` (64-128 KiB of narrow
 # gather index).  On Golay and random [40, 16..18] builds, 2^15 was 8-10%
@@ -210,6 +223,86 @@ class MailmanFactorization:
             bits = (block.correspondence >> shifts) & 1
             dense[block.row_offset : block.row_offset + block.height] = bits
         return BinaryMatrix.from_dense(dense)
+
+
+@dataclass(frozen=True)
+class TupleFactorization:
+    """Position blocks of the one-hot codebook over (symbol, predecessors) tuples.
+
+    Row ``i*q^(L+1) + t`` of the codebook is set in column j when codeword
+    j's tuple at position i is t (current symbol most significant, as in
+    ``codes.tuple_indices``).  Block b covers the ``span`` positions from
+    lo = b*span on (the last block fewer), and column j's index in it is
+    the base-q number whose digit m (place q^m) is the 0-based symbol
+    c_(lo-L+m), for m below L + span, reading the initial symbol before
+    position 0.  So position lo + s reads its tuple from digits s..s+L of
+    the index, and the block's table has q^(L+span) entries.  ``patterns``
+    holds one row of indices per block, read-only.
+    """
+
+    q: int
+    memory: int
+    positions: int
+    span: int
+    patterns: np.ndarray = field(repr=False)
+    # A writeable view of the patterns: np.take copies a read-only index.
+    _index: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.q < 2 or self.memory < 0 or self.positions < 1 or self.span < 1:
+            msg = "a tuple factorization needs q >= 2, memory >= 0, positions >= 1 and span >= 1"
+            raise InvalidParams(msg)
+        index = self.patterns
+        blocks = -(-self.positions // self.span)
+        if not isinstance(index, np.ndarray) or index.dtype != np.intp or index.ndim != 2 or (
+            index.shape[0] != blocks or index.shape[1] < 1
+        ):
+            msg = f"patterns must be a ({blocks}, S >= 1) array of intp"
+            raise InvalidParams(msg)
+        digits = self.memory + np.minimum(self.span, self.positions - self.span * np.arange(blocks))
+        if (index.min(axis=1) < 0).any() or (index.max(axis=1) >= self.q ** digits).any():
+            msg = "each block's pattern indices must lie below q^(L + its positions)"
+            raise InvalidParams(msg)
+        object.__setattr__(self, "_index", index if index.flags.writeable else index.copy())
+        index.setflags(write=False)
+
+    @classmethod
+    def _built(cls, q: int, memory: int, positions: int, span: int, index: np.ndarray) -> "TupleFactorization":
+        """A factorization whose ``index`` was built in range; it turns read-only here."""
+        fact = object.__new__(cls)
+        fact.__dict__.update(q=q, memory=memory, positions=positions, span=span, patterns=index.view(), _index=index)
+        fact.patterns.setflags(write=False)
+        return fact
+
+    @property
+    def rows(self) -> int:
+        return self.positions * self.q ** (self.memory + 1)
+
+    @property
+    def cols(self) -> int:
+        return int(self.patterns.shape[1])
+
+    def reconstruct(self) -> BinaryMatrix:
+        """Rebuild the one-hot tuple codebook from the pattern indices."""
+        width = self.q ** (self.memory + 1)
+        dense = np.zeros((self.positions, width, self.cols), dtype=np.uint8)
+        for position in range(self.positions):
+            block, step = divmod(position, self.span)
+            dense[position, self.patterns[block] // self.q**step % width, np.arange(self.cols)] = 1
+        return BinaryMatrix.from_dense(dense.reshape(self.rows, self.cols))
+
+
+def position_span(q: int, memory: int, cols: int) -> int:
+    """Positions per block of a ``TupleFactorization``: the most whose table fits.
+
+    A block of g positions has q^(g+L) entries, at most ``_POSITION_TABLE``
+    and at most S (as a row block's 2^h <= S), but g is at least 1.
+    """
+    entries = min(_POSITION_TABLE, cols)
+    span = 1
+    while q ** (memory + span + 1) <= entries:
+        span += 1
+    return span
 
 
 def _block_heights(rows: int, cols: int) -> list[int]:
@@ -364,7 +457,7 @@ def _check_vectors(vector: np.ndarray, rows: int) -> tuple[np.ndarray, int]:
 
 def vec_times_matrix(
     vector: np.ndarray,
-    factorization: MailmanFactorization,
+    factorization: MailmanFactorization | TupleFactorization,
     ops: OpCount | None = None,
 ) -> np.ndarray:
     """Compute ``vector @ M`` from the factorization of M, without multiplying.
@@ -375,20 +468,74 @@ def vec_times_matrix(
     tabulated entry into the output (S additions).  A batch runs in tiles
     whose ``(S, tile)`` gather, and so their ``(2^h, tile)`` table
     (2^h <= S), fits ``_TILE_BYTES``, or one vector at a time where such a
-    tile would be narrower than ``_MIN_TILE``.
+    tile would be narrower than ``_MIN_TILE``.  A ``TupleFactorization``
+    runs by position blocks (``_tuple_product``), in tiles whose two tables
+    of every block's q^(g+L) entries per vector fit ``_TILE_BYTES`` too.
     """
     vector, count = _check_vectors(vector, factorization.rows)
     if ops is not None:
         ops.additions += count * op_count(factorization).additions
-    tile = _TILE_BYTES // (8 * factorization.cols)
+    product, cells = _product, factorization.cols
+    if isinstance(factorization, TupleFactorization):
+        fact = factorization
+        tables = 2 * fact.patterns.shape[0] * fact.q ** (fact.memory + fact.span)
+        product, cells = _tuple_product, max(cells, tables)
+    tile = _TILE_BYTES // (8 * cells)
     step = tile if tile >= _MIN_TILE else 1
     if count <= step:
-        return _product(vector, factorization)
+        return product(vector, factorization)
     # A single vector's (S,) result stacks as one row of the batch.
     return np.vstack([
-        _product(vector[start] if step == 1 else vector[start : start + step], factorization)
+        product(vector[start] if step == 1 else vector[start : start + step], factorization)
         for start in range(0, count, step)
     ])
+
+
+def _tuple_product(vector: np.ndarray, factorization: TupleFactorization) -> np.ndarray:
+    """``vec_times_matrix`` on one vector or one tile of a batch, by position blocks.
+
+    Every block's table is built in one sweep over its positions, all
+    blocks at once, alternating between two tables: step s appends
+    position lo + s as the top digit, so entry d*q^(L+s) + i is entry i
+    plus the vector's entry for tuple (d, top L digits of i).  A shorter
+    last block leaves the sweep after its own positions.  Then each block
+    gathers one entry per column, the first gather being the sum so far.
+    """
+    q, memory, span = factorization.q, factorization.memory, factorization.span
+    context = q**memory
+    index = factorization._index
+    blocks, cols = index.shape
+    last = factorization.positions - span * (blocks - 1)  # the last block's positions
+    batch = vector.shape[:-1]
+    size = blocks * context * q**span
+    # Position p's entries as [p, current symbol, predecessors(, vector)].
+    if vector.ndim == 1:
+        entries = vector.reshape(-1, q, context)
+        tables = np.empty((2, blocks, context * q**span))
+    else:
+        entries = np.ascontiguousarray(vector.T).reshape((-1, q, context) + batch)
+        tables = _buffer("table", 2 * size * batch[0]).reshape((2, blocks, -1) + batch)
+    first = entries[::span]
+    tables[0, :, : q * context] = first.reshape(first.shape[:1] + (-1,) + batch)
+    for step in range(1, span):
+        rows = blocks if step < last else blocks - 1
+        width = context * q**step
+        old = tables[(step - 1) % 2, :rows, :width].reshape((rows, 1, context, q**step) + batch)
+        new = tables[step % 2, :rows, : q * width].reshape((rows, q, context, q**step) + batch)
+        np.add(old, entries[step::span][:rows, :, :, None], out=new)
+    final = [tables[(span - 1) % 2, b] for b in range(blocks - 1)] + [tables[(last - 1) % 2, blocks - 1]]
+    if vector.ndim == 1:
+        out = final[0].take(index[0])
+        for table, block in zip(final[1:], index[1:]):
+            out += table.take(block)
+        return out
+    total = _buffer("total", cols * batch[0]).reshape(cols, batch[0])
+    gather = _buffer("gather", cols * batch[0]).reshape(cols, batch[0])
+    for b, (table, block) in enumerate(zip(final, index)):
+        np.take(table, block, axis=0, out=gather if b else total, mode="wrap")
+        if b:
+            np.add(total, gather, out=total)
+    return total.T.copy()
 
 
 def _product(vector: np.ndarray, factorization: MailmanFactorization) -> np.ndarray:
@@ -481,8 +628,19 @@ def vec_times_matrix_naive(
     return out
 
 
-def op_count(factorization: MailmanFactorization) -> OpCount:
-    """Exact operation count of ``vec_times_matrix`` for one vector."""
+def op_count(factorization: MailmanFactorization | TupleFactorization) -> OpCount:
+    """Exact operation count of ``vec_times_matrix`` for one vector.
+
+    A ``TupleFactorization`` block of g positions adds q^(L+s+1) table
+    entries at each step s = 1..g-1 (step 0 copies the vector's entries),
+    and every gather after the first adds S.
+    """
+    if isinstance(factorization, TupleFactorization):
+        q, memory, span = factorization.q, factorization.memory, factorization.span
+        blocks = factorization.patterns.shape[0]
+        steps = [min(span, factorization.positions - span * b) for b in range(blocks)]
+        additions = sum(q ** (memory + s + 1) for g in steps for s in range(1, g))
+        return OpCount(multiplications=0, additions=additions + (blocks - 1) * factorization.cols)
     additions = 0
     for block in factorization.blocks:
         additions += (1 << block.height) - 1 + factorization.cols

@@ -4,10 +4,12 @@ Every function here scores every codeword directly, with no matrix
 factorization anywhere on the path.  They exist to cross-check the fast
 decoders and to anchor tests, so they are kept deliberately plain: a
 gather of per-position log-likelihoods (or symbol mismatches) and a sum.
-``esd_decode`` checks ml, list and isi alike, as ml, list and isi score
-on the one-hot codebook of the channel's memory: it gathers each
-position's likelihood by symbol at memory 0, and by (symbol,
-predecessors) tuple otherwise.
+``esd_decode`` checks ml, list and isi alike, as all three score each
+codeword by its (symbol, predecessors) tuples, L = 0 for a memoryless
+channel: it gathers each position's likelihood by symbol at memory 0, and
+by tuple otherwise.  Its tie sets go through the decoders' exact step
+(``decoder._finish``), so they hold the codewords of largest ``fsum``
+however its own sums rounded.
 
 Each takes one observation ``(n,)`` or a batch ``(B, n)`` and scores a
 block of codewords at a time: one C-contiguous ``(B, block, n)`` gather,
@@ -23,7 +25,7 @@ import numpy as np
 
 from .channels import ErasureObservation, IsiChannel, conditional_probability_vector
 from .codes import Code, tuple_indices, whole_numbers
-from .decoder import DecodeResult, _finish
+from .decoder import DecodeResult, _finish, _slack
 from .errors import DimensionMismatch, ObservationOutOfAlphabet
 
 #: Byte budget for one block's ``(B, block, n)`` gather of 8-byte entries.
@@ -61,7 +63,8 @@ def esd_decode(
         else:
             rows = words + (offsets - 1)  # int64 offsets first: no x - 1 on the narrow table
         scores[:, lo:hi] = np.take(table, rows, axis=1).sum(axis=-1)
-    return _finish(code, scores.reshape(vector.shape[:-1] + (code.size,)), tie_tolerance)
+    terms = (vector, memory, channel.initial_symbol if memory else 1, _slack(channel, vector, code.n))
+    return _finish(code, scores.reshape(vector.shape[:-1] + (code.size,)), tie_tolerance, terms)
 
 
 def min_distance_decode(

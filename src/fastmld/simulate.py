@@ -19,8 +19,9 @@ Each variant's decisions live here once, in three steps that the command
 line's decode commands share with ``run_monte_carlo``: ``_prepare`` builds
 the variant's structure, ``_decode_chunk`` decodes a batch with it, and
 ``_oracle_agreement`` checks every row of a decoded batch by brute force.
-ml, list and isi score on the one-hot codebook of the channel's memory and
-check against one ``esd_decode`` call; isi only insists on an IsiChannel.
+ml, list and isi score on the codebook of the channel's memory (row blocks
+without memory, position blocks with it) and check against one
+``esd_decode`` call; isi only insists on an IsiChannel.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
 def _prepare(variant: str, code, linear, channel):
     """The structure ``variant`` decodes with, once its code and channel are checked.
 
-    ml, list and isi score on the one-hot codebook of the channel's memory,
+    ml, list and isi score on the codebook of the channel's memory,
     erasure on the bit layout; syndrome gets the syndrome codebook, its
     coset leaders and the parity checks both came from.
     """
@@ -418,6 +419,10 @@ def bench_multiply(
     """
     if repetitions < 1:
         msg = f"need at least one repetition, got {repetitions}"
+        raise InvalidParams(msg)
+    rows_list, cols_list = list(rows_list), list(cols_list)
+    if not rows_list or not cols_list or min(rows_list) < 1 or min(cols_list) < 2:
+        msg = f"need row counts >= 1 and column counts >= 2, got {rows_list} and {cols_list}"
         raise InvalidParams(msg)
     rng = np.random.default_rng(seed)
     out: list[BenchRow] = []

@@ -14,9 +14,10 @@ from fastmld import (
     MailmanFactorization,
     OpCount,
     factorize,
+    tuple_indices,
     vec_times_universal,
 )
-from fastmld.mailman import MailmanBlock, _block_heights
+from fastmld.mailman import MailmanBlock, TupleFactorization, _block_heights, position_span
 
 # Systematic [7,4] single-error-correcting generator.
 HAMMING_G = np.array(
@@ -109,6 +110,37 @@ def reference_codebook(
     return CodebookMatrix(
         factorization=MailmanFactorization(rows=rows, cols=cols, blocks=blocks),
         block_size=block_size,
+        memory=memory,
+        initial_symbol=initial,
+    )
+
+
+def tuple_row_blocks(code, memory: int, initial: int = 1) -> MailmanFactorization:
+    """Row-block factorization of the one-hot tuple codebook: ``factorize`` on the tuple indices."""
+    width = code.q ** (memory + 1)
+    row_map = np.arange(code.n * width).reshape(code.n, width)
+    return factorize(tuple_indices(code.q, memory, code.codewords, initial).T, row_map)
+
+
+def reference_tuple_codebook(code, memory: int, initial: int = 1) -> CodebookMatrix:
+    """Tuple codebook whose position-block indices are int64 digits times their place values.
+
+    Block b's index of codeword c is the dot product of the 0-based symbols
+    c_(lo-L) .. c_(hi-1) (the initial symbol before position 0) with
+    q^0, q^1, ...; the blocks span ``position_span`` positions.
+    """
+    q, n = code.q, code.n
+    span = position_span(q, memory, code.size)
+    padded = np.concatenate(
+        [np.full((code.size, memory), initial - 1), code.codewords.astype(np.int64) - 1], axis=1
+    )
+    patterns = [
+        padded[:, lo : min(lo + span, n) + memory] @ q ** np.arange(min(span, n - lo) + memory)
+        for lo in range(0, n, span)
+    ]
+    return CodebookMatrix(
+        factorization=TupleFactorization(q, memory, n, span, np.array(patterns, dtype=np.intp)),
+        block_size=q ** (memory + 1),
         memory=memory,
         initial_symbol=initial,
     )

@@ -232,6 +232,22 @@ def test_bench_output(capsys):
     assert len(out) == 3
 
 
+@pytest.mark.parametrize(
+    "sizes",
+    [["--rows", "0", "--cols", "16"], ["--rows", "", "--cols", "16"], ["--rows", "8", "--cols", ""],
+     ["--rows", "8", "--cols", "1"]],
+    ids=["rows-0", "rows-empty", "cols-empty", "cols-1"],
+)
+def test_bench_refuses_sizes_it_cannot_measure(capsys, sizes):
+    # A zero-row matrix took no additions, so its ratio divided by zero; an
+    # empty list measured nothing and exited 0.
+    assert main(["bench"] + sizes + ["--reps", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
 def test_gen_code_round_trip(tmp_path, capsys):
     out_path = tmp_path / "random.gen"
     assert main(["gen-code", "--q", "2", "--n", "7", "--k", "4", "--seed", "5", "--out", str(out_path)]) == 0

@@ -37,6 +37,7 @@ from helpers import (
     random_code,
     rep3_code,
     toy_code,
+    tuple_row_blocks,
 )
 
 
@@ -241,7 +242,7 @@ def test_tuple_indices_of_stacked_words_match_per_word_stack():
             codebook = build_codebook_matrix_isi(code, memory, initial)
             dense = dense_codebook(per_word.T, q ** (memory + 1))
             np.testing.assert_array_equal(codebook.matrix.to_dense(), dense)
-            assert_factorization_of(codebook.factorization, dense)
+            assert_factorization_of(tuple_row_blocks(code, memory, initial), dense)
 
 
 def test_isi_codebook_columns():

@@ -264,7 +264,10 @@ def test_single_codeword_code_decodes_like_the_oracle():
     result = isi_ml_decode(codebook, code, chan, y, ops=ops)
     assert result.ties == reference.ties
     np.testing.assert_allclose(result.scores, reference.scores, rtol=1e-12)
-    assert ops.additions == op_count(codebook.factorization).additions == 2 * code.n * 4
+    # At S = 1 each position is a block of its own: its table copies the
+    # vector's entries, and every gather after the first adds S.
+    assert codebook.factorization.span == 1
+    assert ops.additions == op_count(codebook.factorization).additions == (code.n - 1) * code.size
 
 
 def test_erasure_decode_checks_length():

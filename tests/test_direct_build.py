@@ -36,7 +36,14 @@ from fastmld import (
     tuple_indices,
 )
 
-from helpers import assert_factorization_of, dense_codebook, hamming_code, random_code
+from helpers import (
+    assert_factorization_of,
+    dense_codebook,
+    hamming_code,
+    random_code,
+    reference_tuple_codebook,
+    tuple_row_blocks,
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -73,6 +80,13 @@ def test_direct_factorization_equals_the_dense_one(layout, q, n, size, memory, s
             codebook = build_codebook_matrix_isi(code, memory, initial)
             idx = tuple_indices(q, memory, code.codewords, initial).T
             dense = dense_codebook(idx, q ** (memory + 1))
+            # ISI decoding takes position blocks; the row blocks are built here.
+            assert_factorization_of(tuple_row_blocks(code, memory, initial), dense)
+            reference = reference_tuple_codebook(code, memory, initial).factorization
+            assert codebook.factorization.span == reference.span
+            np.testing.assert_array_equal(codebook.factorization.patterns, reference.patterns)
+            np.testing.assert_array_equal(codebook.matrix.to_dense(), dense)
+            return
         else:
             codebook = build_bipolar_codebook(code)
             dense = dense_codebook(code.codewords.T - 1, 1)

@@ -27,7 +27,6 @@ from fastmld import (
     OpCount,
     build_bipolar_codebook,
     build_codebook_matrix,
-    build_codebook_matrix_isi,
     build_syndrome_matrix,
     enumerate_codewords,
     factorize,
@@ -38,7 +37,7 @@ from fastmld import (
 )
 from fastmld.mailman import MailmanBlock
 
-from helpers import peak_beyond_start, product_per_block, random_code
+from helpers import peak_beyond_start, product_per_block, random_code, tuple_row_blocks
 
 LAYOUTS = ("one-hot", "isi", "bit", "syndrome", "dense")
 
@@ -59,8 +58,8 @@ def _factorization(layout: str, q: int, n: int, size: int, rng) -> MailmanFactor
     code = random_code(rng, q, n, min(size, q**n))
     if layout == "bit":
         return build_bipolar_codebook(code).factorization
-    if layout == "isi":
-        return build_codebook_matrix_isi(code, 1, int(rng.integers(1, q + 1))).factorization
+    if layout == "isi":  # the tuple codebook by row blocks; ISI decoding takes position blocks
+        return tuple_row_blocks(code, 1, int(rng.integers(1, q + 1)))
     return build_codebook_matrix(code).factorization
 
 

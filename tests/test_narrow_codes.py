@@ -57,6 +57,7 @@ from helpers import (
     dense_codebook,
     hamming_code,
     reference_codebook,
+    reference_tuple_codebook,
     wide_code,
 )
 
@@ -210,8 +211,8 @@ def test_narrow_codes_decode_as_the_int64_references(case):
         initial = int(rng.integers(1, q + 1))
         onehot = build_codebook_matrix_isi(code, memory, initial)
         tuples = tuple_indices(q, memory, wide.codewords, initial).T
-        assert_factorization_of(onehot.factorization, dense_codebook(tuples, q ** (memory + 1)))
-        reference = reference_codebook(tuples, q ** (memory + 1), memory, initial)
+        np.testing.assert_array_equal(onehot.matrix.to_dense(), dense_codebook(tuples, q ** (memory + 1)))
+        reference = reference_tuple_codebook(wide, memory, initial)
         rows = _random_rows(rng, q ** (memory + 1), int(rng.integers(1, 5)))
         channel = IsiChannel.from_probabilities(q, memory, rows, initial_symbol=initial)
 
@@ -296,16 +297,7 @@ def test_monte_carlo_reports_equal_the_int64_references(monkeypatch, variant, q,
     monkeypatch.setattr(
         simulate, "build_bipolar_codebook", lambda code: reference_codebook(code.codewords.T - 1, 1)
     )
-    monkeypatch.setattr(
-        simulate,
-        "build_codebook_matrix_isi",
-        lambda code, memory, initial: reference_codebook(
-            tuple_indices(code.q, memory, code.codewords, initial).T,
-            code.q ** (memory + 1),
-            memory,
-            initial,
-        ),
-    )
+    monkeypatch.setattr(simulate, "build_codebook_matrix_isi", reference_tuple_codebook)
     wide = run_monte_carlo(config)
     assert report.canonical_text() == wide.canonical_text()
 
