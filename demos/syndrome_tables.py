@@ -5,6 +5,8 @@ syndrome of the received word and looks up which of the 8 cosets it lands
 in. The coset match is itself a fast vector-matrix product: the syndrome's
 one-hot encoding times a small binary matrix whose columns encode every
 possible syndrome, giving the Hamming distance to each coset signature.
+The matrix is factorized by blocks of consecutive syndrome bits, each
+tabulating only the patterns its bits can form.
 The unique zero identifies the coset; subtracting its minimum-weight
 leader corrects the error.
 """
@@ -15,6 +17,7 @@ from fastmld import (
     LinearCode,
     build_syndrome_matrix,
     coset_leaders,
+    op_count,
     parity_check_from_generator,
     syndrome_decode,
 )
@@ -42,8 +45,10 @@ for i, leader in enumerate(leaders):
     print(f"  {i:03b} -> {''.join(map(str, leader))}  weight {leader.sum()}")
 
 syndrome_matrix, leaders = build_syndrome_matrix(linear)
+fact = syndrome_matrix.factorization
 print(f"\nsyndrome matrix is {syndrome_matrix.rows}x{syndrome_matrix.cols},",
-      f"factorized into {len(syndrome_matrix.factorization.blocks)} blocks")
+      f"factorized into {fact.patterns.shape[0]} block(s) of up to {fact.span} positions;",
+      f"a product takes {op_count(fact).additions} additions")
 
 rng = np.random.default_rng(0)
 codeword = rng.integers(0, 2, size=7)

@@ -5,15 +5,15 @@ through its codebook matrix: column j stacks, for every position, the
 one-hot encoding of codeword j's symbol there, giving an (n*q) x S binary
 matrix with exactly one 1 per position block.  The same construction over
 symbol tuples (a sliding window of the current symbol plus L predecessors)
-extends the matrix to channels with memory, and the one-hot codebook of all
-binary words of length n-k scores syndromes.  Erasure decoding uses the bit
+extends the matrix to channels with memory; at L = 0 over all binary
+words of length n-k it scores syndromes.  Erasure decoding uses the bit
 layout of a binary code instead: one row per position, set where the bit
 is 1.  Every codebook is a ``CodebookMatrix`` with a factorization.
 
 Codebooks are factorized straight from the codewords' symbols: by row
-blocks through the layout's row map, or, for the tuple codebook, by blocks
-of consecutive positions whose indices are the symbols' base-q digits.
-The matrix itself is rebuilt only when read.
+blocks through the layout's row map, or, for the tuple and syndrome
+codebooks, by blocks of consecutive positions whose indices are the
+symbols' base-q digits.  The matrix itself is rebuilt only when read.
 
 Symbols are 1-based at every public boundary; all internal index
 arithmetic shifts to 0-based immediately on entry.
@@ -138,9 +138,9 @@ class CodebookMatrix:
     baked in) and the column sets one row per block.  In the bit layout of
     a binary code (``block_size`` 1) each position has one row, set where
     the codeword's bit is 1.  The tuple codebook of
-    ``build_codebook_matrix_isi`` holds a ``TupleFactorization``, every
-    other one a ``MailmanFactorization``.  ``rows`` and ``cols`` are the
-    factorization's.
+    ``build_codebook_matrix_isi`` and the syndrome codebook hold a
+    ``TupleFactorization``, every other one a ``MailmanFactorization``.
+    ``rows`` and ``cols`` are the factorization's.
     """
 
     factorization: MailmanFactorization | TupleFactorization
@@ -298,23 +298,22 @@ def _check_cap(n: int, block_size: int, cols: int) -> None:
         raise CapacityExceeded(msg)
 
 
-def _codebook(symbols: np.ndarray, first: int, block_size: int) -> CodebookMatrix:
-    """Factorize the codebook whose column j holds ``symbols[:, j]``, counted from ``first``.
+def _codebook(symbols: np.ndarray, block_size: int) -> CodebookMatrix:
+    """Factorize by row blocks the codebook whose column j holds the 1-based ``symbols[:, j]``.
 
-    One-hot layout: value first + v at position i sets row i*block_size + v.
-    Bit layout (``block_size`` 1): value first + 1 sets row i.
+    One-hot layout: symbol 1 + v at position i sets row i*block_size + v.
+    Bit layout (``block_size`` 1): symbol 2 sets row i, symbol 1 none.
     """
     n, cols = symbols.shape
     _check_cap(n, block_size, cols)
-    row_map = np.full((n, first + max(block_size, 2)), -1)
-    # In the bit layout value ``first`` sets no row.
-    row_map[:, first + (block_size == 1) :] = np.arange(n * block_size).reshape(n, block_size)
+    row_map = np.full((n, 1 + max(block_size, 2)), -1)
+    row_map[:, 1 + (block_size == 1) :] = np.arange(n * block_size).reshape(n, block_size)
     return CodebookMatrix(factorization=factorize(symbols, row_map), block_size=block_size)
 
 
 def build_codebook_matrix(code: Code) -> CodebookMatrix:
     """Codebook matrix for memoryless scoring: (n*q) x S, one 1 per position."""
-    return _codebook(code.codewords.T, 1, code.q)
+    return _codebook(code.codewords.T, code.q)
 
 
 def build_codebook_matrix_isi(
@@ -328,7 +327,12 @@ def build_codebook_matrix_isi(
     codebook in the same form.
     """
     _check_memory(code.q, memory, initial_symbol)
-    q, n, cols = code.q, code.n, code.size
+    return _tuple_codebook(code.q, memory, code.codewords.T, initial_symbol)
+
+
+def _tuple_codebook(q: int, memory: int, symbols: np.ndarray, initial_symbol: int = 1) -> CodebookMatrix:
+    """Position-block tuple codebook of 1-based ``(positions, S)`` symbols (no positions: no rows)."""
+    n, cols = symbols.shape
     width = q ** (memory + 1)
     _check_cap(n, width, cols)
     span = position_span(q, memory, cols)
@@ -339,7 +343,7 @@ def build_codebook_matrix_isi(
     # sum of symbol * q^m exceeds the index by the sum of q^m.
     padded = np.ones((memory + blocks * span, cols), dtype=np.min_scalar_type(q * (q**digits - 1) // (q - 1)))
     padded[:memory] = initial_symbol
-    padded[memory : memory + n] = code.codewords.T
+    padded[memory : memory + n] = symbols
     index = padded[digits - 1 :: span].copy()
     for m in range(digits - 2, -1, -1):
         index *= q
@@ -358,7 +362,7 @@ def build_bipolar_codebook(code: Code) -> CodebookMatrix:
     if code.q != 2:
         msg = f"bipolar codebooks are defined for binary codes, got q={code.q}"
         raise NonBinaryCode(msg)
-    return _codebook(code.codewords.T, 1, 1)
+    return _codebook(code.codewords.T, 1)
 
 
 def parity_check_from_generator(linear: LinearCode) -> np.ndarray:
@@ -469,17 +473,17 @@ def build_syndrome_matrix(
 
     The codebook is the one-hot codebook, 2(n-k) x 2^(n-k), of all binary
     words of length n-k, column j holding the word with base-2 index j: row
-    2i marks the words whose bit i is 0, row 2i+1 those whose bit i is 1.
-    A received syndrome s scored s_i in row 2i and 1 - s_i in row 2i+1
-    gets, from the product, its Hamming distance to every coset's syndrome.
-    Returns the codebook and the leader table aligned to the same index.
-    ``parity_check`` is passed on to ``coset_leaders``.
+    2i marks the words whose bit i is 0, row 2i+1 those whose bit i is 1,
+    by position blocks as the tuple codebook at L = 0.  A received syndrome
+    s scored s_i in row 2i and 1 - s_i in row 2i+1 gets, from the product,
+    its Hamming distance to every coset's syndrome.  Returns the codebook
+    and the leader table aligned to the same index.  ``parity_check`` is
+    passed on to ``coset_leaders``.
     """
     if linear.q != 2:
         msg = f"syndrome decoding is defined for binary codes, got q={linear.q}"
         raise NonBinaryCode(msg)
     leaders = coset_leaders(linear, parity_check)
     r = linear.n - linear.k
-    shifts = np.arange(r - 1, -1, -1, dtype=np.int64)
-    bits = (np.arange(2**r, dtype=np.int64)[None, :] >> shifts[:, None]) & 1
-    return _codebook(bits, 0, 2), leaders
+    bits = (np.arange(2**r)[None, :] >> np.arange(r - 1, -1, -1)[:, None]) & 1
+    return _tuple_codebook(2, 0, bits + 1), leaders

@@ -16,12 +16,13 @@ the rows of a ``(blocks, 2^h)`` table (as many as ``_TILE_BYTES`` holds)
 and run the doubling steps once, a shorter last block leaving after its
 own height; each block then gathers from the first 2^height of its row.
 
-A one-hot codebook over (symbol, predecessors) tuples has a cheaper form,
-``TupleFactorization``: blocks of g consecutive positions, each indexed
-by the base-q digits of the g symbols and the L before them, so its table
-holds only the q^(g+L) patterns that can occur.  Its tables are built
-position by position, every block's at once, and its gathers number
-ceil(n/g), as many as memoryless decoding needs.
+A one-hot codebook over (symbol, predecessors) tuples (the syndrome
+codebook is one, at L = 0) has a cheaper form, ``TupleFactorization``:
+blocks of g consecutive positions, each indexed by the base-q digits of
+the g symbols and the L before them, so its table holds only the q^(g+L)
+patterns that can occur.  Its tables are built position by position,
+every block's at once, and its gathers number ceil(n/g), as many as
+memoryless decoding needs.
 
 ``factorize`` reads each column's pattern indices straight off the symbols
 the column holds, so a codebook is never built as bits; ``reconstruct``
@@ -237,7 +238,7 @@ class TupleFactorization:
     c_(lo-L+m), for m below L + span, reading the initial symbol before
     position 0.  So position lo + s reads its tuple from digits s..s+L of
     the index, and the block's table has q^(L+span) entries.  ``patterns``
-    holds one row of indices per block, read-only.
+    holds one row of indices per block, read-only (none with no positions).
     """
 
     q: int
@@ -249,8 +250,8 @@ class TupleFactorization:
     _index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.q < 2 or self.memory < 0 or self.positions < 1 or self.span < 1:
-            msg = "a tuple factorization needs q >= 2, memory >= 0, positions >= 1 and span >= 1"
+        if self.q < 2 or self.memory < 0 or self.positions < 0 or self.span < 1:
+            msg = "a tuple factorization needs q >= 2, memory >= 0, positions >= 0 and span >= 1"
             raise InvalidParams(msg)
         index = self.patterns
         blocks = -(-self.positions // self.span)
@@ -505,6 +506,8 @@ def _tuple_product(vector: np.ndarray, factorization: TupleFactorization) -> np.
     context = q**memory
     index = factorization._index
     blocks, cols = index.shape
+    if not blocks:
+        return np.zeros(vector.shape[:-1] + (cols,))
     last = factorization.positions - span * (blocks - 1)  # the last block's positions
     batch = vector.shape[:-1]
     size = blocks * context * q**span
@@ -640,7 +643,7 @@ def op_count(factorization: MailmanFactorization | TupleFactorization) -> OpCoun
         blocks = factorization.patterns.shape[0]
         steps = [min(span, factorization.positions - span * b) for b in range(blocks)]
         additions = sum(q ** (memory + s + 1) for g in steps for s in range(1, g))
-        return OpCount(multiplications=0, additions=additions + (blocks - 1) * factorization.cols)
+        return OpCount(multiplications=0, additions=additions + max(0, blocks - 1) * factorization.cols)
     additions = 0
     for block in factorization.blocks:
         additions += (1 << block.height) - 1 + factorization.cols

@@ -122,6 +122,17 @@ def tuple_row_blocks(code, memory: int, initial: int = 1) -> MailmanFactorizatio
     return factorize(tuple_indices(code.q, memory, code.codewords, initial).T, row_map)
 
 
+def syndrome_words(r: int) -> SimpleNamespace:
+    """Every r-bit word as a code: word j holds j's base-2 digits, most significant first, plus 1.
+
+    It has what ``tuple_row_blocks`` and ``reference_tuple_codebook`` read of
+    a code, and unlike ``Code`` it may have no positions (r = 0).  Its
+    codewords minus 1, transposed, are the syndrome codebook's per-position bits.
+    """
+    bits = (np.arange(2**r)[:, None] >> np.arange(r - 1, -1, -1)) & 1
+    return SimpleNamespace(q=2, n=r, size=2**r, codewords=bits + 1)
+
+
 def reference_tuple_codebook(code, memory: int, initial: int = 1) -> CodebookMatrix:
     """Tuple codebook whose position-block indices are int64 digits times their place values.
 
@@ -138,8 +149,9 @@ def reference_tuple_codebook(code, memory: int, initial: int = 1) -> CodebookMat
         padded[:, lo : min(lo + span, n) + memory] @ q ** np.arange(min(span, n - lo) + memory)
         for lo in range(0, n, span)
     ]
+    patterns = np.array(patterns, dtype=np.intp).reshape(-1, code.size)  # (0, S) with no positions
     return CodebookMatrix(
-        factorization=TupleFactorization(q, memory, n, span, np.array(patterns, dtype=np.intp)),
+        factorization=TupleFactorization(q, memory, n, span, patterns),
         block_size=q ** (memory + 1),
         memory=memory,
         initial_symbol=initial,

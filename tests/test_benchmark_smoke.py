@@ -4,10 +4,10 @@ The benchmark drives the program through public names (``ml_decode`` with
 ``ops=``, ``isi_ml_decode``, ``build_bipolar_codebook`` ...), labels its
 per-layer metrics by the names of traced calls, and checks the product's
 addition tally.  A change that breaks any of these fails a short traced
-run here, before the benchmark itself is run.  The run writes under the
-git-ignored ``perfbench/out/``.  The benchmark's own tests, which show that
-each check rejects a corrupted result, run here too, since ``perfbench/``
-is outside the collected test paths.
+run of each workload here, before the benchmark itself is run.  The runs
+write under the git-ignored ``perfbench/out/``.  The benchmark's own
+tests, which show that each check rejects a corrupted result, run here
+too, since ``perfbench/`` is outside the collected test paths.
 """
 
 import json
@@ -15,16 +15,22 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def test_traced_hamming_run_reports_every_per_layer_metric_and_no_failure():
+WORKLOADS = [workload["name"] for workload in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_traced_run_reports_every_per_layer_metric_and_no_failure(workload):
     done = subprocess.run(
         [
             sys.executable,
             "perfbench/run.py",
             "--workload",
-            "mc-hamming7-bsc",
+            workload,
             "--seed",
             "1",
             "--seconds",

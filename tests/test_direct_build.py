@@ -4,7 +4,10 @@ Every ``build_*`` factorizes from the codewords' per-position symbols and
 a row map, with no dense or packed matrix.  These tests rebuild each
 layout densely (``helpers.dense_codebook``) and check that the direct
 factorization has the same blocks, offsets and pattern indices as
-factorizing that dense matrix, and as bit weights times its bits.
+factorizing that dense matrix, and as bit weights times its bits.  The
+tuple and syndrome codebooks are position blocks: their patterns are
+checked against int64 digits times place values, and their row blocks,
+built in the test, against the dense matrix.
 """
 
 import tracemalloc
@@ -42,6 +45,7 @@ from helpers import (
     hamming_code,
     random_code,
     reference_tuple_codebook,
+    syndrome_words,
     tuple_row_blocks,
 )
 
@@ -66,32 +70,30 @@ def test_direct_factorization_equals_the_dense_one(layout, q, n, size, memory, s
         # Syndrome codebooks are binary; ``size`` picks n - k, so S = 2^(n-k).
         linear = random_linear_code(2, n, n - min(n - 1, size % 4), seed % 1000)
         codebook, _ = build_syndrome_matrix(linear)
-        r = linear.n - linear.k
-        bits = (np.arange(2**r)[None, :] >> np.arange(r - 1, -1, -1)[:, None]) & 1
-        dense = dense_codebook(bits, 2)
+        words, memory, initial = syndrome_words(linear.n - linear.k), 0, 1
     else:
         q = 2 if layout == "bits" else q
-        code = random_code(rng, q, n, min(size, q**n))
+        words = code = random_code(rng, q, n, min(size, q**n))
         if layout == "one-hot":
             codebook = build_codebook_matrix(code)
             dense = dense_codebook(code.codewords.T - 1, q)
         elif layout == "isi":
             initial = int(rng.integers(1, q + 1))
             codebook = build_codebook_matrix_isi(code, memory, initial)
-            idx = tuple_indices(q, memory, code.codewords, initial).T
-            dense = dense_codebook(idx, q ** (memory + 1))
-            # ISI decoding takes position blocks; the row blocks are built here.
-            assert_factorization_of(tuple_row_blocks(code, memory, initial), dense)
-            reference = reference_tuple_codebook(code, memory, initial).factorization
-            assert codebook.factorization.span == reference.span
-            np.testing.assert_array_equal(codebook.factorization.patterns, reference.patterns)
-            np.testing.assert_array_equal(codebook.matrix.to_dense(), dense)
-            return
         else:
             codebook = build_bipolar_codebook(code)
             dense = dense_codebook(code.codewords.T - 1, 1)
+    if layout in ("isi", "syndrome"):
+        idx = tuple_indices(words.q, memory, words.codewords, initial).T
+        dense = dense_codebook(idx, words.q ** (memory + 1))
+        # Decoding takes position blocks; the row blocks are built here.
+        assert_factorization_of(tuple_row_blocks(words, memory, initial), dense)
+        reference = reference_tuple_codebook(words, memory, initial).factorization
+        assert codebook.factorization.span == reference.span
+        np.testing.assert_array_equal(codebook.factorization.patterns, reference.patterns)
+    else:
+        assert_factorization_of(codebook.factorization, dense)
     assert (codebook.rows, codebook.cols) == dense.shape
-    assert_factorization_of(codebook.factorization, dense)
     np.testing.assert_array_equal(codebook.matrix.to_dense(), dense)
 
 

@@ -27,7 +27,6 @@ from fastmld import (
     OpCount,
     build_bipolar_codebook,
     build_codebook_matrix,
-    build_syndrome_matrix,
     enumerate_codewords,
     factorize,
     op_count,
@@ -37,7 +36,7 @@ from fastmld import (
 )
 from fastmld.mailman import MailmanBlock
 
-from helpers import peak_beyond_start, product_per_block, random_code, tuple_row_blocks
+from helpers import peak_beyond_start, product_per_block, random_code, syndrome_words, tuple_row_blocks
 
 LAYOUTS = ("one-hot", "isi", "bit", "syndrome", "dense")
 
@@ -50,10 +49,8 @@ def _factorization(layout: str, q: int, n: int, size: int, rng) -> MailmanFactor
     if layout == "dense":  # any shape: fewer rows than h, a short last block, whole blocks
         bits = rng.integers(0, 2, size=(rng.integers(1, 25), size), dtype=np.uint8)
         return factorize(BinaryMatrix.from_dense(bits))
-    if layout == "syndrome":
-        n = max(n, 2)
-        linear = random_linear_code(2, n, int(rng.integers(max(1, n - 10), n)), int(rng.integers(99)))
-        return build_syndrome_matrix(linear)[0].factorization
+    if layout == "syndrome":  # by row blocks, r = n - k in 1..10; syndrome decoding takes position blocks
+        return tuple_row_blocks(syndrome_words(int(rng.integers(1, min(max(n, 2), 11)))), 0)
     q = 2 if layout == "bit" else q
     code = random_code(rng, q, n, min(size, q**n))
     if layout == "bit":

@@ -58,6 +58,7 @@ from helpers import (
     hamming_code,
     reference_codebook,
     reference_tuple_codebook,
+    syndrome_words,
     wide_code,
 )
 
@@ -193,6 +194,7 @@ def _assert_same_decode(got, expected):
 @example(case=(131, 3, 2, 0, 5))
 @example(case=(7, 4, 2, 2, 6))
 @example(case=(2, 9, 8, 1, 7))
+@example(case=(2, 4, 4, 0, 8))  # k == n: no syndrome bits
 def test_narrow_codes_decode_as_the_int64_references(case):
     q, n, k, memory, seed = case
     rng = np.random.default_rng(seed)
@@ -241,12 +243,9 @@ def test_narrow_codes_decode_as_the_int64_references(case):
     )
     for got, expected in zip(min_distance_decode(code, erasures), min_distance_decode(wide, erasures)):
         np.testing.assert_array_equal(got, expected)
-    if k == n:
-        return
     flips = sample_channel(DiscreteChannel.bsc(0.2), code.codewords[sent], seed)
     syndromes, leaders = build_syndrome_matrix(linear)
-    r = n - k
-    index_bits = (np.arange(2**r)[None, :] >> np.arange(r - 1, -1, -1)[:, None]) & 1
+    index_bits = syndrome_words(n - k).codewords.T - 1  # no rows when k == n
     got = syndrome_decode(linear, leaders, syndromes, flips - 1)
     expected = syndrome_decode(linear, leaders, reference_codebook(index_bits, 2), flips - 1)
     np.testing.assert_array_equal(got.codeword, expected.codeword)

@@ -216,6 +216,19 @@ def test_mean_additions_match_kernel_prediction():
     assert report.mean_decode_additions == float(op_count(codebook.factorization).additions)
 
 
+def test_syndrome_mean_additions_match_kernel_prediction():
+    from fastmld import build_syndrome_matrix, op_count
+
+    # Golay's 2^11 coset syndromes: position blocks of 8 and 3 bits.
+    linear = golay_code()
+    config = SimConfig(
+        code_source=linear, channel=DiscreteChannel.bsc(0.05), trials=64, seed=9, variant="syndrome"
+    )
+    report = run_monte_carlo(config)
+    codebook, _ = build_syndrome_matrix(linear)
+    assert report.mean_decode_additions == float(op_count(codebook.factorization).additions) == 2568.0
+
+
 def test_bench_rows_and_bound():
     rows = bench_multiply([16, 32], [64, 256], repetitions=1, seed=4)
     assert len(rows) == 4
