@@ -11,12 +11,15 @@ by tuple otherwise.  Its tie sets go through the decoders' exact step
 (``decoder._finish``), so they hold the codewords of largest ``fsum``
 however its own sums rounded.
 
-Each takes one observation ``(n,)`` or a batch ``(B, n)`` and scores a
-block of codewords at a time: one C-contiguous ``(B, block, n)`` gather,
-summed over its last axis.  numpy sums a contiguous last axis row by row
-in the same pairwise order as the 1-d ``sum`` of that row, so a score is
-bitwise the same whatever the batch or the block.  Row b of a batched
-result equals the result for observation b alone.
+Each takes one observation ``(n,)`` or a batch ``(B, n)`` and sums left
+to right, one position at a time, per codeword tile.  The per-position
+terms sit in one ``(n * width, B)`` table, row ``i * width + s`` holding
+every observation's term for symbol (or tuple) s at position i: the
+likelihood vector transposed, or 0/1 symbol mismatches.  A tile's
+``(tile, B)`` accumulator takes position 0's rows, then adds each next
+position's rows in turn, so a score is the same chain of float additions
+whatever the batch or the tile.  Row b of a batched result equals the
+result for observation b alone, bit for bit.
 """
 
 from __future__ import annotations
@@ -28,14 +31,29 @@ from .codes import Code, tuple_indices, whole_numbers
 from .decoder import DecodeResult, _finish, _slack
 from .errors import DimensionMismatch, ObservationOutOfAlphabet
 
-#: Byte budget for one block's ``(B, block, n)`` gather of 8-byte entries.
+#: Byte budget for one tile's ``(tile, B)`` accumulator and its ``(tile, n)`` digits.
 _GATHER_BYTES = 1 << 20
 
 
-def _blocks(batch: int, code: Code):
-    """Codeword ranges ``(lo, hi)`` whose gather for ``batch`` rows fits ``_GATHER_BYTES``."""
-    step = max(1, _GATHER_BYTES // (8 * max(batch, 1) * code.n))
-    return ((lo, min(lo + step, code.size)) for lo in range(0, code.size, step))
+def _position_sums(code: Code, table: np.ndarray, memory: int = 0, initial_symbol: int = 1) -> np.ndarray:
+    """``(B, S)`` sums of the rows of an ``(n * width, B)`` table that each codeword reads.
+
+    Position i reads row ``i * width + d`` of the table, width =
+    q^(memory+1), where d is its symbol less one at memory 0 and its
+    tuple's digit otherwise.  Positions are added left to right, a tile
+    of codewords at a time.
+    """
+    width = code.q ** (memory + 1)
+    sums = np.empty((table.shape[1], code.size), dtype=table.dtype)
+    tile = max(1, _GATHER_BYTES // (8 * max(table.shape[1], code.n)))
+    for lo in range(0, code.size, tile):
+        words = code.codewords[lo : lo + tile]
+        digits = tuple_indices(code.q, memory, words, initial_symbol) if memory else words - 1
+        acc = np.take(table[:width], digits[:, 0], axis=0)
+        for i in range(1, code.n):
+            acc += np.take(table[i * width : (i + 1) * width], digits[:, i], axis=0)
+        sums[:, lo : lo + tile] = acc.T
+    return sums
 
 
 def esd_decode(
@@ -45,7 +63,8 @@ def esd_decode(
 
     Over a channel with memory, position i reads the row of its
     (symbol, predecessors) tuple, ``tuple_indices``, in place of symbol
-    ``c_i``.  Takes one observation ``(n,)`` or a batch ``(B, n)``.
+    ``c_i``.  Takes one observation ``(n,)`` or a batch ``(B, n)``, and
+    sums left to right, one position at a time, per codeword tile.
     """
     memory = channel.memory if isinstance(channel, IsiChannel) else 0
     width = code.q ** (memory + 1)
@@ -53,17 +72,10 @@ def esd_decode(
     if vector.shape[-1] != code.n * width:
         msg = f"observation of length {vector.shape[-1] // width} does not match n={code.n}"
         raise DimensionMismatch(msg)
-    table = vector.reshape(-1, vector.shape[-1])
-    offsets = np.arange(code.n) * width
-    scores = np.empty((table.shape[0], code.size), dtype=np.float64)
-    for lo, hi in _blocks(table.shape[0], code):
-        words = code.codewords[lo:hi]
-        if memory:
-            rows = tuple_indices(code.q, memory, words, channel.initial_symbol) + offsets
-        else:
-            rows = words + (offsets - 1)  # int64 offsets first: no x - 1 on the narrow table
-        scores[:, lo:hi] = np.take(table, rows, axis=1).sum(axis=-1)
-    terms = (vector, memory, channel.initial_symbol if memory else 1, _slack(channel, vector, code.n))
+    initial = channel.initial_symbol if memory else 1
+    table = np.ascontiguousarray(vector.reshape(-1, vector.shape[-1]).T)
+    scores = _position_sums(code, table, memory, initial)
+    terms = (vector, memory, initial, _slack(channel, vector, code.n))
     return _finish(code, scores.reshape(vector.shape[:-1] + (code.size,)), tie_tolerance, terms)
 
 
@@ -89,12 +101,11 @@ def min_distance_decode(
     if word.ndim not in (1, 2) or word.shape[-1] != code.n:
         msg = f"received words of shape {word.shape} do not match n={code.n}"
         raise DimensionMismatch(msg)
-    words = word.reshape(-1, code.n)[:, None, :]
-    keeps = keep.reshape(-1, code.n)[:, None, :]
-    distances = np.empty((words.shape[0], code.size), dtype=np.int64)
-    for lo, hi in _blocks(words.shape[0], code):
-        distances[:, lo:hi] = ((code.codewords[lo:hi] != words) & keeps).sum(axis=-1)
-    distances = distances.reshape(word.shape[:-1] + (code.size,))
+    # Row i*q + s, column b: 1 where symbol s + 1 at position i mismatches an unerased y_bi.
+    words, keeps = word.reshape(-1, code.n).T[:, None], keep.reshape(-1, code.n).T[:, None]
+    symbols = np.arange(1, code.q + 1)[:, None]
+    mismatches = ((words != symbols) & keeps).reshape(code.n * code.q, -1).astype(np.int64)
+    distances = _position_sums(code, mismatches).reshape(word.shape[:-1] + (code.size,))
     result = _finish(code, -distances, 0.0)
     return result.best_index, result.ties, distances
 

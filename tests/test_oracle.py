@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fastmld.mailman as mailman
 import fastmld.oracle as oracle
@@ -17,8 +20,8 @@ from fastmld import (
     tuple_indices,
 )
 
-from helpers import all_words, hamming_code, toy_code, toy_channel
-from fastmld import enumerate_codewords
+from helpers import all_words, hamming_code, peak_beyond_start, random_code, toy_code, toy_channel
+from fastmld import enumerate_codewords, random_linear_code
 
 
 def tie_set_of(mask: np.ndarray) -> tuple[int, ...]:
@@ -151,15 +154,15 @@ def test_esd_isi_scores_equal_the_tuple_stream_loop_bitwise(q, memory, initial):
 
 
 def _scores_by_loop(table: np.ndarray, columns: np.ndarray) -> np.ndarray:
-    """Reference: one codeword at a time, ``table[positions, c].sum()`` of an (n, width) table."""
+    """Reference: one codeword at a time, its ``table[positions, c]`` added left to right."""
     positions = np.arange(table.shape[0])
-    return np.array([table[positions, c].sum() for c in columns])
+    return np.array([np.add.accumulate(table[positions, c])[-1] for c in columns])
 
 
 @pytest.mark.parametrize("n", [7, 23, 150])
 def test_batched_esd_scores_equal_the_per_codeword_loop_bitwise(monkeypatch, n):
-    # 150 positions cross numpy's pairwise-summation block of 128, and a
-    # small gather budget splits the codebook into many blocks.
+    # 150 positions would cross numpy's pairwise-summation block of 128, and
+    # a small gather budget splits the codebook into many tiles.
     monkeypatch.setattr(oracle, "_GATHER_BYTES", 8 * 3 * n * 5)
     rng = np.random.default_rng(n)
     code = Code(q=3, n=n, codewords=np.unique(rng.integers(1, 4, size=(40, n)), axis=0))
@@ -181,6 +184,72 @@ def test_batched_esd_scores_equal_the_per_codeword_loop_bitwise(monkeypatch, n):
         expected = _scores_by_loop(table, columns)
         np.testing.assert_array_equal(result.scores[b], expected)
         np.testing.assert_array_equal(esd_decode(code, isi, outputs[b]).scores, expected)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    q=st.sampled_from([2, 3]),
+    memory=st.integers(0, 2),
+    n=st.integers(1, 10),
+    size=st.integers(1, 80),
+    budgets=st.lists(st.integers(1, 1 << 13), min_size=2, max_size=2),
+    batch=st.integers(1, 6),
+    split=st.integers(0, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_oracle_sums_one_left_to_right_fold_whatever_the_tiles_and_batches(
+    q, memory, n, size, budgets, batch, split, seed
+):
+    rng = np.random.default_rng(seed)
+    code = random_code(rng, q, n, min(size, q**n))
+    # Few distinct rows, so that equal multisets of entries tie exactly.
+    rows = np.array([[0.9, 0.1], [0.3, 0.7], [0.5, 0.5], [0.2, 0.8]])
+    isi = IsiChannel.from_probabilities(
+        q, memory, rows[rng.integers(0, 4, size=q ** (memory + 1))], initial_symbol=int(rng.integers(1, q + 1))
+    )
+    outputs = rng.integers(1, 3, size=(batch, n))
+    # Erasure observations are binary; q = 3 words go in whole.
+    values = np.where(rng.random((batch, n)) < 0.3 * (q == 2), ERASED, rng.integers(0, q, size=(batch, n)))
+    observed = ErasureObservation if q == 2 else (lambda values: values + 1)
+    columns = tuple_indices(q, memory, code.codewords, isi.initial_symbol)
+    split = min(split, batch)
+    with mock.patch.object(oracle, "_GATHER_BYTES", budgets[0]):
+        whole = esd_decode(code, isi, outputs)
+        _, _, distances = min_distance_decode(code, observed(values))
+    with mock.patch.object(oracle, "_GATHER_BYTES", budgets[1]):
+        parts = [esd_decode(code, isi, part) for part in (outputs[:split], outputs[split:]) if len(part)]
+        singles = [esd_decode(code, isi, y) for y in outputs]
+        split_distances = [
+            min_distance_decode(code, observed(part))[2]
+            for part in (values[:split], values[split:])
+            if len(part)
+        ]
+    assert _same_bits(np.vstack([part.scores for part in parts]), whole.scores)
+    for b, y in enumerate(outputs):
+        table = isi.log_transition.T[y - 1]
+        assert _same_bits(whole.scores[b], _scores_by_loop(table, columns))
+        assert _same_bits(singles[b].scores, whole.scores[b])
+        exact = [math.fsum(table[np.arange(n), c]) for c in columns]
+        assert tie_set_of(whole.ties[b]) == tie_set_of(np.array(exact) == max(exact)) == singles[b].ties
+    expected = ((code.codewords != values[:, None] + 1) & (values[:, None] >= 0)).sum(axis=-1)
+    np.testing.assert_array_equal(distances, expected)
+    np.testing.assert_array_equal(np.vstack(split_distances), expected)
+
+
+@pytest.mark.parametrize("budget", [oracle._GATHER_BYTES, 1 << 16])
+def test_batched_esd_holds_a_few_tiles_beyond_its_result(monkeypatch, budget):
+    # S = 2^14 codewords of n = 20 take three tiles at the default budget.
+    monkeypatch.setattr(oracle, "_GATHER_BYTES", budget)
+    code = enumerate_codewords(random_linear_code(2, 20, 14, 3))
+    chan = ContinuousChannel.awgn(0.8)
+    y = np.random.default_rng(5).standard_normal((8, 20)) + 1.0
+    result = esd_decode(code, chan, y)
+    held = peak_beyond_start(lambda: esd_decode(code, chan, y))
+    assert held <= result.scores.nbytes + result.ties.nbytes + 2 * budget
 
 
 def test_batched_oracle_rows_equal_single_words(monkeypatch):
