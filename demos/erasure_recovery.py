@@ -29,5 +29,7 @@ for erase in ((), (1,), (1, 2), (1, 2, 4), range(7)):
         f"{len(result.ties)} candidate(s), first {bits}"
     )
 
-# the score is exactly (number of unerased positions that agree) minus
-# (number that disagree), so a clean match on 7 - e survivors scores 7 - e
+# each position scores -b or +b against the codeword's bit 0 or 1, where b
+# is +1/-1/0 for a received 1/0/erasure, so the score is exactly (number of
+# unerased positions that agree) minus (number that disagree): a clean
+# match on 7 - e survivors scores 7 - e

@@ -6,14 +6,14 @@ one-hot encoding of codeword j's symbol there, giving an (n*q) x S binary
 matrix with exactly one 1 per position block.  The same construction over
 symbol tuples (a sliding window of the current symbol plus L predecessors)
 extends the matrix to channels with memory; at L = 0 over all binary
-words of length n-k it scores syndromes.  Erasure decoding uses the bit
-layout of a binary code instead: one row per position, set where the bit
-is 1.  Every codebook is a ``CodebookMatrix`` with a factorization.
+words of length n-k it scores syndromes, and over a binary code's own
+codewords it scores erasures.  Every codebook is a ``CodebookMatrix``
+with a factorization.
 
-Codebooks are factorized straight from the codewords' symbols: by row
-blocks through the layout's row map, or, for the tuple and syndrome
-codebooks, by blocks of consecutive positions whose indices are the
-symbols' base-q digits.  The matrix itself is rebuilt only when read.
+Codebooks are factorized straight from the codewords' symbols: the
+memoryless codebook by row blocks, every other one (tuple, syndrome and
+erasure codebooks) by blocks of consecutive positions whose indices are
+the symbols' base-q digits.  The matrix itself is rebuilt only when read.
 
 Symbols are 1-based at every public boundary; all internal index
 arithmetic shifts to 0-based immediately on entry.
@@ -133,13 +133,11 @@ class LinearCode:
 class CodebookMatrix:
     """A code's binary scoring matrix, held as its block factorization.
 
-    Column j holds codeword j.  In the one-hot layout ``block_size`` is the
-    width of each position's block (q, or q^(L+1) when L memory taps are
-    baked in) and the column sets one row per block.  In the bit layout of
-    a binary code (``block_size`` 1) each position has one row, set where
-    the codeword's bit is 1.  The tuple codebook of
-    ``build_codebook_matrix_isi`` and the syndrome codebook hold a
-    ``TupleFactorization``, every other one a ``MailmanFactorization``.
+    Column j holds codeword j.  ``block_size`` is the width of each
+    position's one-hot block (q, or q^(L+1) when L memory taps are baked
+    in) and the column sets one row per block.  The memoryless codebook of
+    ``build_codebook_matrix`` holds a ``MailmanFactorization``, every other
+    one (tuple, syndrome and erasure codebooks) a ``TupleFactorization``.
     ``rows`` and ``cols`` are the factorization's.
     """
 
@@ -298,22 +296,16 @@ def _check_cap(n: int, block_size: int, cols: int) -> None:
         raise CapacityExceeded(msg)
 
 
-def _codebook(symbols: np.ndarray, block_size: int) -> CodebookMatrix:
-    """Factorize by row blocks the codebook whose column j holds the 1-based ``symbols[:, j]``.
-
-    One-hot layout: symbol 1 + v at position i sets row i*block_size + v.
-    Bit layout (``block_size`` 1): symbol 2 sets row i, symbol 1 none.
-    """
-    n, cols = symbols.shape
-    _check_cap(n, block_size, cols)
-    row_map = np.full((n, 1 + max(block_size, 2)), -1)
-    row_map[:, 1 + (block_size == 1) :] = np.arange(n * block_size).reshape(n, block_size)
-    return CodebookMatrix(factorization=factorize(symbols, row_map), block_size=block_size)
-
-
 def build_codebook_matrix(code: Code) -> CodebookMatrix:
-    """Codebook matrix for memoryless scoring: (n*q) x S, one 1 per position."""
-    return _codebook(code.codewords.T, code.q)
+    """Codebook matrix for memoryless scoring: (n*q) x S, one 1 per position, by row blocks.
+
+    Symbol 1 + v at position i sets row i*q + v.
+    """
+    n, q = code.n, code.q
+    _check_cap(n, q, code.size)
+    row_map = np.full((n, 1 + q), -1)
+    row_map[:, 1:] = np.arange(n * q).reshape(n, q)
+    return CodebookMatrix(factorization=factorize(code.codewords.T, row_map), block_size=q)
 
 
 def build_codebook_matrix_isi(
@@ -358,11 +350,17 @@ def _tuple_codebook(q: int, memory: int, symbols: np.ndarray, initial_symbol: in
 
 
 def build_bipolar_codebook(code: Code) -> CodebookMatrix:
-    """Bit layout (n x S) of a binary code: entry 1 where the codeword bit is 1."""
+    """Erasure codebook of a binary code: its 2n x S one-hot codebook, by position blocks.
+
+    The same matrix as ``build_codebook_matrix_isi(code, 0)``: row 2i marks
+    the codewords whose bit i is 0, row 2i+1 those whose bit i is 1.
+    ``erasure_decode`` scores position i of a +1/-1/0 bipolar word b as
+    (-b_i, +b_i) against it.
+    """
     if code.q != 2:
         msg = f"bipolar codebooks are defined for binary codes, got q={code.q}"
         raise NonBinaryCode(msg)
-    return _codebook(code.codewords.T, 1)
+    return _tuple_codebook(2, 0, code.codewords.T)
 
 
 def parity_check_from_generator(linear: LinearCode) -> np.ndarray:

@@ -5,8 +5,8 @@ per-position score vector, multiply it by a ``CodebookMatrix`` in one
 ``vec_times_matrix`` call on its factorization, and scan the resulting
 score vector for the argmax (or the top of the ranking).  Decoders differ
 only in the vector they build: log-likelihoods for ``ml_decode`` and
-``list_decode``, +1/-1/0 for ``erasure_decode`` (against the bit layout,
-then ``2*(v @ B) - sum(v)``), and syndrome bits for ``syndrome_decode``.
+``list_decode``, the one-hot rows (-b_i, +b_i) of a +1/-1/0 bipolar word
+for ``erasure_decode``, and syndrome bits for ``syndrome_decode``.
 A list decode is the same product plus its ranking: a stable sort up to
 ``_SORT_MAX_COLS`` codewords, and above that an O(S) top-L selection.
 A channel with memory is priced per (symbol, predecessors) tuple, so ISI
@@ -377,13 +377,13 @@ def erasure_decode(
 ) -> DecodeResult:
     """Decode a binary word with erasures, or a ``(B, n)`` batch of them, by match counting.
 
-    ``codebook`` is the bit layout B from ``build_bipolar_codebook``.  The
-    +1/-1/0 received vector v times the +/-1 codeword matrix ``2B - J``
-    scores each codeword as (unerased matches) - (unerased mismatches); it
-    is computed as ``2*(v @ B) - sum(v)``, so the product runs on the bits.
-    A codeword consistent with every surviving position scores exactly n
-    minus the number of erasures, and is unique whenever fewer than d_min
-    positions were erased.
+    ``codebook`` is any memoryless one-hot codebook of the code (2n x S):
+    ``build_bipolar_codebook``'s, or ``build_codebook_matrix``'s.  With b
+    the +1/-1/0 bipolar word, position i scores -b_i in row 2i (bit 0) and
+    +b_i in row 2i+1 (bit 1), so one product scores each codeword as
+    (unerased matches) - (unerased mismatches).  A codeword consistent
+    with every surviving position scores exactly n minus the number of
+    erasures, and is unique whenever fewer than d_min positions were erased.
     """
     if code.q != 2:
         msg = f"erasure decoding is defined for binary codes, got q={code.q}"
@@ -391,26 +391,21 @@ def erasure_decode(
     if not isinstance(observation, ErasureObservation):
         msg = "erasure decoding needs an ErasureObservation"
         raise InvalidParams(msg)
-    if (observation.n, codebook.block_size, codebook.rows, codebook.cols) != (
-        code.n, 1, code.n, code.size
+    if (observation.n, codebook.block_size, codebook.memory, codebook.rows, codebook.cols) != (
+        code.n, 2, 0, 2 * code.n, code.size
     ):
         msg = (
             f"observation length {observation.n} and codebook {codebook.rows}x{codebook.cols}"
-            f" (block size {codebook.block_size}) must match the bit layout of"
-            f" n={code.n}, S={code.size}"
+            f" (block size {codebook.block_size}, memory {codebook.memory}) must match the"
+            f" memoryless one-hot codebook of n={code.n}, S={code.size}"
         )
         raise DimensionMismatch(msg)
-    vector = bipolar_received_vector(observation)
-    product = vec_times_matrix(vector, codebook.factorization, ops=ops)
-    if ops is not None:
-        # Per vector: S doublings, n - 1 additions for sum(v), S subtractions.
-        count = vector.size // code.n
-        ops.multiplications += count * code.size
-        ops.additions += count * (code.size + code.n - 1)
-    # In place: the product is a fresh array, so the scores need no temporaries.
-    product *= 2.0
-    product -= vector.sum(axis=-1)[..., None]
-    return _finish(code, product, tie_tolerance)
+    bipolar = bipolar_received_vector(observation)
+    vector = np.empty(bipolar.shape[:-1] + (2 * code.n,))
+    # 0 - b rather than -b: an erased entry stays +0.0, so no score reads -0.0.
+    np.subtract(0.0, bipolar, out=vector[..., 0::2])
+    vector[..., 1::2] = bipolar
+    return _finish(code, vec_times_matrix(vector, codebook.factorization, ops=ops), tie_tolerance)
 
 
 def syndrome_decode(

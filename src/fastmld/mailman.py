@@ -16,8 +16,8 @@ the rows of a ``(blocks, 2^h)`` table (as many as ``_TILE_BYTES`` holds)
 and run the doubling steps once, a shorter last block leaving after its
 own height; each block then gathers from the first 2^height of its row.
 
-A one-hot codebook over (symbol, predecessors) tuples (the syndrome
-codebook is one, at L = 0) has a cheaper form, ``TupleFactorization``:
+A one-hot codebook over (symbol, predecessors) tuples (the syndrome and
+erasure codebooks are ones at L = 0) has a cheaper form, ``TupleFactorization``:
 blocks of g consecutive positions, each indexed by the base-q digits of
 the g symbols and the L before them, so its table holds only the q^(g+L)
 patterns that can occur.  Its tables are built position by position,

@@ -21,7 +21,9 @@ the variant's structure, ``_decode_chunk`` decodes a batch with it, and
 ``_oracle_agreement`` checks every row of a decoded batch by brute force.
 ml, list and isi score on the codebook of the channel's memory (row blocks
 without memory, position blocks with it) and check against one
-``esd_decode`` call; isi only insists on an IsiChannel.
+``esd_decode`` call; isi only insists on an IsiChannel.  erasure scores on
+the memoryless one-hot codebook by position blocks and checks against
+``min_distance_decode``.
 """
 
 from __future__ import annotations
@@ -275,8 +277,9 @@ def _prepare(variant: str, code, linear, channel):
     """The structure ``variant`` decodes with, once its code and channel are checked.
 
     ml, list and isi score on the codebook of the channel's memory,
-    erasure on the bit layout; syndrome gets the syndrome codebook, its
-    coset leaders and the parity checks both came from.
+    erasure on ``build_bipolar_codebook``'s position-block one-hot
+    codebook; syndrome gets the syndrome codebook, its coset leaders and
+    the parity checks both came from.
     """
     if variant == "erasure":
         if not isinstance(channel, ErasureChannel):

@@ -122,6 +122,12 @@ def tuple_row_blocks(code, memory: int, initial: int = 1) -> MailmanFactorizatio
     return factorize(tuple_indices(code.q, memory, code.codewords, initial).T, row_map)
 
 
+def bit_row_blocks(bits: np.ndarray) -> MailmanFactorization:
+    """Row-block factorization of the bit layout of (n, S) 0/1 ``bits``: row i is set where bit i is 1."""
+    n = len(bits)
+    return factorize(bits, np.column_stack((np.full(n, -1), np.arange(n))))
+
+
 def syndrome_words(r: int) -> SimpleNamespace:
     """Every r-bit word as a code: word j holds j's base-2 digits, most significant first, plus 1.
 

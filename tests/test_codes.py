@@ -259,9 +259,15 @@ def test_isi_codebook_columns():
 
 
 def test_bipolar_codebook():
-    codebook = build_bipolar_codebook(enumerate_codewords(rep3_code()))
+    code = enumerate_codewords(rep3_code())
+    codebook = build_bipolar_codebook(code)
     dense = codebook.matrix.to_dense()
-    np.testing.assert_array_equal(dense, [[0, 1], [0, 1], [0, 1]])
+    # The memoryless one-hot codebook: row 2i marks bit i = 0, row 2i+1 bit i = 1.
+    np.testing.assert_array_equal(dense, [[1, 0], [0, 1], [1, 0], [0, 1], [1, 0], [0, 1]])
+    assert (codebook.block_size, codebook.memory) == (2, 0)
+    np.testing.assert_array_equal(
+        codebook.factorization.patterns, build_codebook_matrix_isi(code, 0).factorization.patterns
+    )
     with pytest.raises(NonBinaryCode):
         build_bipolar_codebook(Code(q=3, n=1, codewords=np.array([[1], [3]])))
 

@@ -254,7 +254,7 @@ def test_single_codeword_code_decodes_like_the_oracle():
     result = erasure_decode(bits, code, observation, ops=ops)
     assert result.ties == min_distance_decode(code, observation)[1]
     assert result.best_score == 0.0  # one match, one mismatch, one erasure
-    assert ops.additions == op_count(bits.factorization).additions + code.size + code.n - 1
+    assert ops.additions == op_count(bits.factorization).additions
 
     table = np.array([[0.9, 0.1], [0.6, 0.4], [0.3, 0.7], [0.2, 0.8]])
     chan = IsiChannel.from_probabilities(2, 1, table)

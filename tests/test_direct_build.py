@@ -5,9 +5,10 @@ a row map, with no dense or packed matrix.  These tests rebuild each
 layout densely (``helpers.dense_codebook``) and check that the direct
 factorization has the same blocks, offsets and pattern indices as
 factorizing that dense matrix, and as bit weights times its bits.  The
-tuple and syndrome codebooks are position blocks: their patterns are
-checked against int64 digits times place values, and their row blocks,
-built in the test, against the dense matrix.
+tuple, syndrome and erasure codebooks are position blocks: their patterns
+are checked against int64 digits times place values, and their row
+blocks, built in the test, against the dense matrix, as is the row-block
+bit layout of a binary code (one row per position, set by bit 1).
 """
 
 import tracemalloc
@@ -41,6 +42,7 @@ from fastmld import (
 
 from helpers import (
     assert_factorization_of,
+    bit_row_blocks,
     dense_codebook,
     hamming_code,
     random_code,
@@ -82,8 +84,10 @@ def test_direct_factorization_equals_the_dense_one(layout, q, n, size, memory, s
             codebook = build_codebook_matrix_isi(code, memory, initial)
         else:
             codebook = build_bipolar_codebook(code)
-            dense = dense_codebook(code.codewords.T - 1, 1)
-    if layout in ("isi", "syndrome"):
+            memory, initial = 0, 1
+            bits = code.codewords.T - 1
+            assert_factorization_of(bit_row_blocks(bits), dense_codebook(bits, 1))
+    if layout in ("isi", "syndrome", "bits"):
         idx = tuple_indices(words.q, memory, words.codewords, initial).T
         dense = dense_codebook(idx, words.q ** (memory + 1))
         # Decoding takes position blocks; the row blocks are built here.
@@ -132,22 +136,28 @@ def test_factorize_takes_symbols_and_a_row_map():
 
 
 def test_a_long_code_with_few_codewords_factorizes_in_little_memory():
-    # n = 2000, S = 2: blocks are one row high, so there are as many blocks
-    # as rows (4000 one-hot).  Each block's table covers only its own
-    # position, so the build stays far below rows x blocks entries.
+    # n = 2000, S = 2: row blocks are one row high, so there are as many
+    # blocks as rows (4000 one-hot, 2000 in the bit layout).  Each block's
+    # table covers only its own position, so the build stays far below
+    # rows x blocks entries.  The erasure codebook takes one position per block.
     n = 2000
     code = Code(q=2, n=n, codewords=np.array([[1] * n, [2] * n]))
     tracemalloc.start()
     try:
         one_hot = build_codebook_matrix(code)
-        bits = build_bipolar_codebook(code)
+        bits = bit_row_blocks(code.codewords.T - 1)
+        erasure = build_bipolar_codebook(code)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 4 << 20
     assert len(one_hot.factorization.blocks) == 2 * n
     assert_factorization_of(one_hot.factorization, dense_codebook(code.codewords.T - 1, 2))
-    assert_factorization_of(bits.factorization, dense_codebook(code.codewords.T - 1, 1))
+    assert_factorization_of(bits, dense_codebook(code.codewords.T - 1, 1))
+    assert erasure.factorization.patterns.shape == (n, 2)
+    np.testing.assert_array_equal(
+        erasure.factorization.patterns, reference_tuple_codebook(code, 0).factorization.patterns
+    )
 
 
 def test_a_packed_matrix_is_unpacked_a_column_chunk_at_a_time(monkeypatch):

@@ -25,7 +25,6 @@ from fastmld import (
     InvalidParams,
     MailmanFactorization,
     OpCount,
-    build_bipolar_codebook,
     build_codebook_matrix,
     enumerate_codewords,
     factorize,
@@ -36,7 +35,14 @@ from fastmld import (
 )
 from fastmld.mailman import MailmanBlock
 
-from helpers import peak_beyond_start, product_per_block, random_code, syndrome_words, tuple_row_blocks
+from helpers import (
+    bit_row_blocks,
+    peak_beyond_start,
+    product_per_block,
+    random_code,
+    syndrome_words,
+    tuple_row_blocks,
+)
 
 LAYOUTS = ("one-hot", "isi", "bit", "syndrome", "dense")
 
@@ -53,8 +59,8 @@ def _factorization(layout: str, q: int, n: int, size: int, rng) -> MailmanFactor
         return tuple_row_blocks(syndrome_words(int(rng.integers(1, min(max(n, 2), 11)))), 0)
     q = 2 if layout == "bit" else q
     code = random_code(rng, q, n, min(size, q**n))
-    if layout == "bit":
-        return build_bipolar_codebook(code).factorization
+    if layout == "bit":  # one row per position, set by bit 1; erasure decoding takes position blocks
+        return bit_row_blocks(code.codewords.T - 1)
     if layout == "isi":  # the tuple codebook by row blocks; ISI decoding takes position blocks
         return tuple_row_blocks(code, 1, int(rng.integers(1, q + 1)))
     return build_codebook_matrix(code).factorization

@@ -53,6 +53,7 @@ from fastmld.codes import validate_symbols
 
 from helpers import (
     assert_factorization_of,
+    bit_row_blocks,
     codewords_by_matmul,
     dense_codebook,
     hamming_code,
@@ -234,9 +235,11 @@ def test_narrow_codes_decode_as_the_int64_references(case):
     if q != 2:
         return
 
+    # The row-block bit layout sums the narrow bits as the int64 formula does.
+    assert_factorization_of(bit_row_blocks(code.codewords.T - 1), dense_codebook(wide.codewords.T - 1, 1))
     bits = build_bipolar_codebook(code)
-    assert_factorization_of(bits.factorization, dense_codebook(wide.codewords.T - 1, 1))
-    reference_bits = reference_codebook(wide.codewords.T - 1, 1)
+    reference_bits = reference_tuple_codebook(wide, 0)
+    np.testing.assert_array_equal(bits.factorization.patterns, reference_bits.factorization.patterns)
     erasures = sample_channel(ErasureChannel(0.3), code.codewords[sent], seed)
     _assert_same_decode(
         erasure_decode(bits, code, erasures), erasure_decode(reference_bits, wide, erasures)
@@ -293,9 +296,7 @@ def test_monte_carlo_reports_equal_the_int64_references(monkeypatch, variant, q,
         "build_codebook_matrix",
         lambda code: reference_codebook(code.codewords.T - 1, code.q),
     )
-    monkeypatch.setattr(
-        simulate, "build_bipolar_codebook", lambda code: reference_codebook(code.codewords.T - 1, 1)
-    )
+    monkeypatch.setattr(simulate, "build_bipolar_codebook", lambda code: reference_tuple_codebook(code, 0))
     monkeypatch.setattr(simulate, "build_codebook_matrix_isi", reference_tuple_codebook)
     wide = run_monte_carlo(config)
     assert report.canonical_text() == wide.canonical_text()

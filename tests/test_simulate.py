@@ -229,6 +229,18 @@ def test_syndrome_mean_additions_match_kernel_prediction():
     assert report.mean_decode_additions == float(op_count(codebook.factorization).additions) == 2568.0
 
 
+@pytest.mark.parametrize("linear,additions", [(golay_code(), 9460.0), (hamming_code(), 56.0)], ids=["golay", "hamming"])
+def test_erasure_mean_additions_match_kernel_prediction(linear, additions):
+    from fastmld import build_bipolar_codebook, enumerate_codewords, op_count
+
+    # Golay: position blocks of 8, 8 and 7 bits; Hamming: of 4 and 3.  The
+    # product is the whole decode: no affine step adds to its tally.
+    config = SimConfig(code_source=linear, channel=ErasureChannel(0.2), trials=64, seed=9, variant="erasure")
+    report = run_monte_carlo(config)
+    codebook = build_bipolar_codebook(enumerate_codewords(linear))
+    assert report.mean_decode_additions == float(op_count(codebook.factorization).additions) == additions
+
+
 def test_bench_rows_and_bound():
     rows = bench_multiply([16, 32], [64, 256], repetitions=1, seed=4)
     assert len(rows) == 4
