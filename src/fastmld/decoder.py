@@ -143,6 +143,9 @@ def argmax_scan(scores: np.ndarray, tie_tolerance: float = 0.0) -> tuple[int, tu
         msg = "scores must be a non-empty 1-d vector"
         raise InvalidParams(msg)
     ties = tuple(j + 1 for j in _tie_mask(scores, tie_tolerance).nonzero()[0].tolist())
+    if not ties:  # the max is NaN, and nothing compares >= NaN
+        msg = "scores must not hold NaN"
+        raise InvalidParams(msg)
     return ties[0], ties
 
 
@@ -227,11 +230,11 @@ def _finish(code: Code, scores: np.ndarray, tie_tolerance: float, terms: tuple |
     if scores.ndim == 1:
         best, ties = argmax_scan(scores, tie_tolerance + slack)
         if exact and len(ties) > 1:
-            cols = np.array(ties) - 1
-            if scores[cols].max() > -math.inf:  # else every score is -inf, and all tie
-                sums = _exact_sums(code, terms, np.zeros_like(cols), cols)
-                ties = tuple((cols[sums == sums.max()] + 1).tolist())
-                best = ties[0]
+            mask = np.zeros((1, scores.shape[0]), dtype=bool)
+            mask[0, np.array(ties) - 1] = True
+            _exact_ties(code, scores[None], mask, terms)
+            ties = tuple((np.flatnonzero(mask) + 1).tolist())
+            best = ties[0]
         best_score = float(scores[best - 1])
         implausible = best_score == -math.inf
     else:

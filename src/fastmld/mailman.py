@@ -40,20 +40,18 @@ one ``(2^h, B)`` table (patterns along the first axis, so a column's gather
 copies B contiguous values) -- the Four Russians idea applied to many
 vectors.  Every vector goes through the same additions in the same order as
 it would alone, so batched results equal the per-vector ones bit for bit.
-A batch runs in a per-thread workspace that outlives the call: the
-``(S, B)`` accumulator, the ``(2^h, B)`` table and the ``(S, B)`` gather.
-Each is one ``_TILE_BYTES`` buffer (1 MiB), so a thread that has run a
-batched product holds 3 MiB; its first such product allocates them.  A
-result is always a fresh array, never a view of the workspace.  Importing
-the module frees an untouched 16 MiB block; glibc then raises its mmap and
-trim thresholds to 16 and 32 MiB, so results and other transients always
-reuse resident memory, not only when the heap's layout happens to allow.
+Each product allocates what it needs per call: a tile's ``(2^h, B)``
+table, its ``(S, B)`` sum and one ``(S, B)`` gather, each within
+``_TILE_BYTES`` (1 MiB), and a fresh result.  Every product ends in one
+gather-sum (``_gather_sum``) over its blocks' tables.  Importing the
+module frees an untouched 16 MiB block; glibc then raises its mmap and
+trim thresholds to 16 and 32 MiB, so those buffers, results and other
+transients reuse resident memory rather than fault in fresh pages.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -394,12 +392,11 @@ def factorize(
     return MailmanFactorization._built(len(entry), cols, blocks, indices)
 
 
-def vec_times_universal(weights: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def vec_times_universal(weights: np.ndarray) -> np.ndarray:
     """Row vector(s) times the universal matrix of height ``h``.
 
     ``weights`` is one vector ``(h,)`` or B vectors stored column-wise,
-    ``(h, B)``; the result is ``(2^h,)`` or ``(2^h, B)``, written into
-    ``out`` when given (a float64 array of that shape).  Column j of the
+    ``(h, B)``; the result is ``(2^h,)`` or ``(2^h, B)``.  Column j of the
     universal matrix is the binary expansion of j with the most-significant
     bit in the first row, so output[j] is the sum of the weights at j's set
     bits.  Built by doubling in place: 2^h - 1 additions per vector.
@@ -412,12 +409,7 @@ def vec_times_universal(weights: np.ndarray, out: np.ndarray | None = None) -> n
     if not 1 <= h <= MAX_BLOCK_HEIGHT:
         msg = f"universal height {h} outside [1, {MAX_BLOCK_HEIGHT}]"
         raise HeightOutOfRange(msg)
-    shape = (1 << h,) + weights.shape[1:]
-    if out is None:
-        out = np.empty(shape, dtype=np.float64)
-    elif out.shape != shape or out.dtype != np.float64:
-        msg = f"out must be a float64 array of shape {shape}, got {out.dtype} {out.shape}"
-        raise InvalidParams(msg)
+    out = np.empty((1 << h,) + weights.shape[1:], dtype=np.float64)
     out[0] = 0.0
     size = 1
     for w in weights[::-1]:
@@ -476,6 +468,8 @@ def vec_times_matrix(
     vector, count = _check_vectors(vector, factorization.rows)
     if ops is not None:
         ops.additions += count * op_count(factorization).additions
+    if not vector.shape[-1]:  # no rows, so no blocks: every score is an empty sum
+        return np.zeros(vector.shape[:-1] + (factorization.cols,))
     product, cells = _product, factorization.cols
     if isinstance(factorization, TupleFactorization):
         fact = factorization
@@ -492,6 +486,33 @@ def vec_times_matrix(
     ])
 
 
+def _gather_sum(pairs) -> np.ndarray:
+    """The sum over ``(table, index)`` pairs of each table gathered at its index.
+
+    ``(size,)`` tables give ``(S,)``; ``(size, B)`` tables, one column per
+    vector, give a fresh row-major ``(B, S)`` for per-row scans.  The first
+    gather is the sum so far (0.0 + x == x, as no table entry is -0.0).  A
+    ``(size, B)`` table is dropped before the next pair is drawn, so a
+    generator of them holds one at a time.
+    """
+    pairs = iter(pairs)
+    table, index = next(pairs)
+    if table.ndim == 1:
+        total = table.take(index)
+        for table, index in pairs:
+            total += table.take(index)
+        return total
+    total, gather = table.take(index, axis=0), None
+    del table
+    for table, index in pairs:
+        # np.take copies whole rows, where fancy indexing of a narrow table runs
+        # element by element.  Every index is in range; "raise" would copy ``out``.
+        gather = np.take(table, index, axis=0, out=gather, mode="wrap")
+        total += gather
+        del table
+    return total.T.copy()
+
+
 def _tuple_product(vector: np.ndarray, factorization: TupleFactorization) -> np.ndarray:
     """``vec_times_matrix`` on one vector or one tile of a batch, by position blocks.
 
@@ -500,26 +521,18 @@ def _tuple_product(vector: np.ndarray, factorization: TupleFactorization) -> np.
     position lo + s as the top digit, so entry d*q^(L+s) + i is entry i
     plus the vector's entry for tuple (d, top L digits of i).  A shorter
     last block leaves the sweep after its own positions.  Then each block
-    gathers one entry per column, the first gather being the sum so far.
+    gathers one entry per column into the sum.
     """
     q, memory, span = factorization.q, factorization.memory, factorization.span
     context = q**memory
     index = factorization._index
-    blocks, cols = index.shape
-    if not blocks:
-        return np.zeros(vector.shape[:-1] + (cols,))
-    last = factorization.positions - span * (blocks - 1)  # the last block's positions
+    blocks = index.shape[0]
     batch = vector.shape[:-1]
-    size = blocks * context * q**span
+    last = factorization.positions - span * (blocks - 1)  # the last block's positions
     # Position p's entries as [p, current symbol, predecessors(, vector)].
-    if vector.ndim == 1:
-        entries = vector.reshape(-1, q, context)
-        tables = np.empty((2, blocks, context * q**span))
-    else:
-        entries = np.ascontiguousarray(vector.T).reshape((-1, q, context) + batch)
-        tables = _buffer("table", 2 * size * batch[0]).reshape((2, blocks, -1) + batch)
-    first = entries[::span]
-    tables[0, :, : q * context] = first.reshape(first.shape[:1] + (-1,) + batch)
+    entries = np.ascontiguousarray(vector.T).reshape((factorization.positions, q, context) + batch)
+    tables = np.empty((2, blocks, context * q**span) + batch)
+    tables[0, :, : q * context] = entries[::span].reshape((blocks, q * context) + batch)
     for step in range(1, span):
         rows = blocks if step < last else blocks - 1
         width = context * q**step
@@ -527,82 +540,36 @@ def _tuple_product(vector: np.ndarray, factorization: TupleFactorization) -> np.
         new = tables[step % 2, :rows, : q * width].reshape((rows, q, context, q**step) + batch)
         np.add(old, entries[step::span][:rows, :, :, None], out=new)
     final = [tables[(span - 1) % 2, b] for b in range(blocks - 1)] + [tables[(last - 1) % 2, blocks - 1]]
-    if vector.ndim == 1:
-        out = final[0].take(index[0])
-        for table, block in zip(final[1:], index[1:]):
-            out += table.take(block)
-        return out
-    total = _buffer("total", cols * batch[0]).reshape(cols, batch[0])
-    gather = _buffer("gather", cols * batch[0]).reshape(cols, batch[0])
-    for b, (table, block) in enumerate(zip(final, index)):
-        np.take(table, block, axis=0, out=gather if b else total, mode="wrap")
-        if b:
-            np.add(total, gather, out=total)
-    return total.T.copy()
+    return _gather_sum(zip(final, index))
 
 
 def _product(vector: np.ndarray, factorization: MailmanFactorization) -> np.ndarray:
     """``vec_times_matrix`` on one vector or one tile of a batch."""
-    cols = factorization.cols
     blocks = factorization.blocks
-    if not blocks:
-        return np.zeros(vector.shape[:-1] + (cols,))
-    if vector.ndim == 1:
-        per = max(1, _TILE_BYTES // (8 << blocks[0].height))  # rows of a table that fits _TILE_BYTES
-        table = np.empty((min(per, len(blocks)), 1 << blocks[0].height))
-        table[:, 0] = 0.0
-        out = None
-        for start in range(0, len(blocks), per):
-            sweep = blocks[start : start + per]
-            _tabulate_rows([vector[block.row_offset : block.row_offset + block.height] for block in sweep], table)
-            for row, block, index in zip(table, sweep, factorization._indices[start : start + per]):
-                # A block's table is the first 2^height entries of its row.  The
-                # first gather is the sum so far: 0.0 + x == x, as no entry is -0.0.
-                gather = row[: 1 << block.height].take(index)
-                out = gather if out is None else np.add(out, gather, out=out)
-                del gather  # freed before the next block's gather is made
-        return out
-    count = vector.shape[0]
-    # One column per vector, so tables and sums keep patterns on axis 0.
-    columns = vector.T
-    total = _buffer("total", cols * count).reshape(cols, count)
-    gather = _buffer("gather", cols * count).reshape(cols, count)
-    for b, (block, index) in enumerate(zip(blocks, factorization._indices)):
-        size = 1 << block.height
-        rows = columns[block.row_offset : block.row_offset + block.height]
-        table = _buffer("table", count * size).reshape(size, count)
-        vec_times_universal(rows, out=table)
-        # np.take copies whole rows; fancy indexing of a narrow 2-d table
-        # runs element by element and is several times slower.  The first
-        # block's gather is the sum so far: 0.0 + x == x, as no table
-        # entry is -0.0 (each is +0.0 plus weights).  Every index is in
-        # range; "wrap" as "raise" writes through a hidden copy of ``out``.
-        np.take(table, index, axis=0, out=gather if b else total, mode="wrap")
-        if b:
-            np.add(total, gather, out=total)
-    # A fresh row-major (B, S): per-row scans of the scores then run over
-    # contiguous memory, and the result never aliases the workspace.
-    return total.T.copy()
+    if vector.ndim == 2:
+        # One column per vector, so tables and sums keep patterns on axis 0.
+        return _gather_sum(
+            (vec_times_universal(vector[:, block.row_offset : block.row_offset + block.height].T), index)
+            for block, index in zip(blocks, factorization._indices)
+        )
+    return _gather_sum(_swept_rows(vector, factorization))
 
 
-#: Per-thread buffers of batched products.  numpy releases the GIL inside
-#: ``take`` and ``add``, so threads must not share them.
-_workspace = threading.local()
+def _swept_rows(vector: np.ndarray, factorization: MailmanFactorization):
+    """Each block's table, the first 2^height entries of its sweep row, and its pattern indices."""
+    blocks = factorization.blocks
+    per = max(1, _TILE_BYTES // (8 << blocks[0].height))  # rows of a table that fits _TILE_BYTES
+    table = np.empty((min(per, len(blocks)), 1 << blocks[0].height))
+    table[:, 0] = 0.0
+    for start in range(0, len(blocks), per):
+        sweep = blocks[start : start + per]
+        _tabulate_rows([vector[block.row_offset : block.row_offset + block.height] for block in sweep], table)
+        for row, block, index in zip(table, sweep, factorization._indices[start : start + per]):
+            yield row[: 1 << block.height], index
+
+
 # Raises glibc's malloc thresholds (module docstring); never written, so never resident.
 np.empty(16 * _TILE_BYTES, dtype=np.uint8)
-
-
-def _buffer(name: str, size: int) -> np.ndarray:
-    """The first ``size`` entries of this thread's float64 buffer ``name``.
-
-    A buffer holds ``_TILE_BYTES`` at least and grows when a tile needs
-    more (``_TILE_BYTES`` may have changed since it was made).
-    """
-    buffer = getattr(_workspace, name, None)
-    if buffer is None or buffer.size < size:
-        buffer = np.empty(max(size, _TILE_BYTES // 8), dtype=np.float64)
-        setattr(_workspace, name, buffer)
-    return buffer[:size]
 
 
 def vec_times_matrix_naive(

@@ -33,6 +33,7 @@ from fastmld import (
     random_linear_code,
     syndrome,
     syndrome_decode,
+    vec_times_matrix,
 )
 
 from helpers import all_words, hamming_code, random_code, rep3_code, toy_code, toy_channel
@@ -64,6 +65,12 @@ def test_argmax_scan_validation():
         argmax_scan(np.zeros((2, 2)))
     with pytest.raises(InvalidParams):
         argmax_scan(np.zeros(3), tie_tolerance=-1.0)
+
+
+@pytest.mark.parametrize("scores", [[np.nan, 1.0], [1.0, np.nan], [-np.inf, np.nan, np.inf]])
+def test_argmax_scan_refuses_nan(scores):
+    with pytest.raises(InvalidParams, match="NaN"):
+        argmax_scan(np.array(scores))
 
 
 def test_ml_decode_toy_case_exact():
@@ -310,6 +317,24 @@ def test_syndrome_product_is_hamming_distance_between_syndromes():
             index = int("".join(str(b) for b in syndrome(checks, bits, 2)), 2)
             expected = [bin(index ^ j).count("1") for j in range(2**r)]
             np.testing.assert_array_equal(row, expected)
+
+
+def test_empty_batches_decode_to_empty_results():
+    # Position blocks (the erasure and syndrome codebooks) give a (0, S)
+    # product for a (0, m) batch, as row blocks do.
+    linear = hamming_code()
+    code = enumerate_codewords(linear)
+    for codebook in (build_bipolar_codebook(code), build_codebook_matrix(code)):
+        assert vec_times_matrix(np.zeros((0, codebook.rows)), codebook.factorization).shape == (0, 16)
+        result = erasure_decode(codebook, code, ErasureObservation(values=np.zeros((0, 7), dtype=np.int64)))
+        assert result.scores.shape == result.ties.shape == (0, 16)
+        assert result.best_index.shape == result.best_score.shape == (0,)
+        assert result.best_codeword.shape == (0, 7)
+    syndrome_matrix, leaders = build_syndrome_matrix(linear)
+    outcome = syndrome_decode(linear, leaders, syndrome_matrix, np.zeros((0, 7), dtype=np.int64))
+    assert outcome.codeword.shape == (0, 7)
+    assert outcome.leader_index.shape == (0,)
+    assert outcome.distances.shape == (0, 8)
 
 
 def test_syndrome_decode_repetition_code():

@@ -1,13 +1,14 @@
-"""The batched product's per-thread workspace: reused, private, never returned.
+"""The products' per-call buffers: private to a call, never returned.
 
-A batched tile tabulates, gathers and sums in buffers each thread keeps
-between calls (``mailman._workspace``).  These tests pin what that reuse
-must not change: results equal fresh sequential ones bit for bit under
-concurrent threads, a returned array never changes under a later call,
-a call allocates little beyond its result, the buffers grow when
-``_TILE_BYTES`` grows, the batched and single-vector gathers agree
-on every pattern index a factorization takes, and repeated Monte Carlo
-calls fault in no fresh pages for what they allocate outside the workspace.
+Every product allocates its tile's table, sum and gather per call and
+feeds them to one gather-sum (``mailman._gather_sum``).  These tests pin
+what that must keep: results equal fresh sequential ones bit for bit under
+concurrent threads, on row blocks and on position blocks alike, a returned
+array never changes under a later call, a call holds at most a tile's
+buffers beyond its result, products stay exact when ``_TILE_BYTES``
+changes, the batched and single-vector gathers agree on every pattern
+index a factorization takes, and repeated Monte Carlo calls fault in no
+fresh pages for what they allocate.
 """
 
 import dataclasses
@@ -26,22 +27,22 @@ from fastmld import (
     InvalidParams,
     build_bipolar_codebook,
     build_codebook_matrix,
+    build_codebook_matrix_isi,
     enumerate_codewords,
     erasure_decode,
     vec_times_matrix,
-    vec_times_universal,
 )
 
 from helpers import golay_code, peak_beyond_start, product_per_block, random_code
 
-#: Allocations a call may make beyond its result: the tie mask of
-#: ``erasure_decode`` (B x S booleans, 128 KiB at B = 32, S = 4096) and
-#: small per-row arrays.
+#: Allocations a call may make beyond its result and its tile's three
+#: buffers: the tie mask of ``erasure_decode`` (B x S booleans, 128 KiB at
+#: B = 32, S = 4096) and small per-row arrays.
 SLACK = 256 * 1024
 
 
 def _run_in_thread(fn, timeout=60.0):
-    """``fn()`` in a new thread, which starts with an empty workspace; its result."""
+    """``fn()`` in a new thread; its result."""
     box = {}
 
     def target():
@@ -70,9 +71,20 @@ def _codebooks_and_batches(rng):
     return cases
 
 
+def _tuple_codebooks_and_batches(rng):
+    """Two position-block factorizations, ISI at L = 1 and q = 3 at L = 0, each with a 32-row batch."""
+    cases = []
+    for q, n, size, memory in ((2, 12, 2048, 1), (3, 8, 2000, 0)):
+        codebook = build_codebook_matrix_isi(random_code(rng, q, n, size), memory)
+        vectors = rng.standard_normal((32, codebook.rows))
+        vectors[rng.random(vectors.shape) < 0.05] = -np.inf
+        cases.append((codebook.factorization, vectors))
+    return cases
+
+
 def test_concurrent_threads_equal_sequential_products():
     rng = np.random.default_rng(71)
-    cases = _codebooks_and_batches(rng)
+    cases = _codebooks_and_batches(rng) + _tuple_codebooks_and_batches(rng)
     expected = [np.stack([vec_times_matrix(v, f) for v in vs]) for f, vs in cases]
     results = [[] for _ in cases]
     errors = []
@@ -130,8 +142,8 @@ def test_golay_batch_allocates_little_beyond_its_result():
 
     result = 32 * code.size * 8
     for call in (product, erasure):
-        call()  # warm-up: this thread's workspace now exists
-        assert peak_beyond_start(call) <= result + SLACK
+        call()  # warm-up
+        assert peak_beyond_start(call) <= result + 3 * mailman._TILE_BYTES + SLACK
 
 
 @pytest.mark.parametrize("order", [("small", "full"), ("full", "small")])
@@ -191,17 +203,6 @@ def test_batched_and_single_products_agree_on_any_pattern_index(block, scale, sh
     singles = np.stack([vec_times_matrix(v, made) for v in vectors])
     assert np.array_equal(vec_times_matrix(vectors, made), singles)
     assert np.array_equal(singles, np.stack([product_per_block(v, made) for v in vectors]))
-
-
-def test_universal_product_writes_into_out():
-    weights = np.array([[1.0, -2.0], [4.0, 0.5], [8.0, -np.inf]])
-    out = np.full((8, 2), np.nan)
-    assert vec_times_universal(weights, out=out) is out
-    assert np.array_equal(out, vec_times_universal(weights))
-    with pytest.raises(InvalidParams):
-        vec_times_universal(weights, out=np.empty((8, 3)))
-    with pytest.raises(InvalidParams):
-        vec_times_universal(weights, out=np.empty((8, 2), dtype=np.float32))
 
 
 #: Runs in a fresh process: three rounds of four Golay Monte Carlo calls of
