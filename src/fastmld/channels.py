@@ -5,6 +5,9 @@ lists log P(y_i | x = 1..q).  Multiplying it by the codebook matrix yields
 every codeword's log-likelihood at once, so everything a channel must
 provide is that vector plus (for simulation) a sampler.
 
+A ``DiscreteChannel`` with ``memory`` L > 0 prices y_i by the tuple of
+c_i and the L symbols before it, so block i lists all q^(L+1) tuples.
+
 Zero transition probabilities are legal and become -inf log entries; the
 product kernels only ever add, and no log entry is +inf, so -inf is
 propagated exactly and never multiplied.
@@ -22,12 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .codes import tuple_indices, validate_symbols, whole_numbers
-from .errors import (
-    InvalidParams,
-    ObservationOutOfAlphabet,
-    SymbolOutOfRange,
-)
+from .codes import _check_memory, _integer_fields, tuple_indices, validate_symbols, whole_numbers
+from .errors import InvalidParams, ObservationOutOfAlphabet
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
@@ -36,7 +35,7 @@ ERASED = -1
 
 
 def _log_table(probabilities: np.ndarray) -> np.ndarray:
-    """Read-only log of a 2-d transition table; the channel checks its shape."""
+    """Log of a 2-d transition table; the channel checks its shape and its row sums."""
     table = np.asarray(probabilities, dtype=np.float64)
     if table.ndim != 2:
         msg = "transition table must be 2-d"
@@ -44,14 +43,8 @@ def _log_table(probabilities: np.ndarray) -> np.ndarray:
     if np.isnan(table).any() or (table < 0).any():
         msg = "transition probabilities must be non-negative and not NaN"
         raise InvalidParams(msg)
-    sums = table.sum(axis=1)
-    if not np.allclose(sums, 1.0, rtol=0.0, atol=1e-9):
-        msg = "each transition row must sum to 1 within 1e-9"
-        raise InvalidParams(msg)
     with np.errstate(divide="ignore"):
-        logs = np.log(table)
-    logs.setflags(write=False)
-    return logs
+        return np.log(table)
 
 
 def _checked_log_transition(log_transition, rows: int, cols: int) -> np.ndarray:
@@ -64,61 +57,66 @@ def _checked_log_transition(log_transition, rows: int, cols: int) -> np.ndarray:
         msg = "log probabilities must be real or -inf"
         raise InvalidParams(msg)
     if not np.allclose(np.exp(table).sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
-        msg = "each transition row must exponentiate to probability 1"
+        msg = "each transition row's probabilities must sum to 1 within 1e-9"
         raise InvalidParams(msg)
     table.setflags(write=False)
     return table
 
 
-def _log_magnitude(channel) -> float:
-    """Largest magnitude of a finite entry of the channel's log table (0.0 if none).
-
-    Each position's entry of a likelihood vector is at most this far from
-    zero, or -inf.
-    """
-    table = channel.log_transition
-    finite = table[np.isfinite(table)]
-    return float(np.abs(finite).max()) if finite.size else 0.0
-
-
 @dataclass(frozen=True)
 class DiscreteChannel:
-    """Memoryless channel over finite alphabets, stored as log P(y|x).
+    """Channel over finite alphabets with ``memory`` L >= 0, stored as log P(y | x).
 
+    ``log_transition`` has one row per (current symbol, L predecessors)
+    tuple, indexed base-q with the current symbol most significant, and
+    rows exponentiate to probability 1.  Positions before the first symbol
+    read ``initial_symbol``.  At memory 0, the default,
     ``log_transition[s - 1, y - 1]`` is the log-probability of receiving y
-    when symbol s was sent; rows exponentiate to probability 1.
+    when symbol s was sent, and the initial symbol is never read.
     """
 
     q: int
     output_alphabet_size: int
     log_transition: np.ndarray = field(repr=False)
+    memory: int = 0
+    initial_symbol: int = 1
 
     def __post_init__(self) -> None:
+        _integer_fields(self, "q", "output_alphabet_size", "memory", "initial_symbol")
         if self.q < 2 or self.output_alphabet_size < 1:
             msg = "need q >= 2 input symbols and at least one output symbol"
             raise InvalidParams(msg)
-        table = _checked_log_transition(self.log_transition, self.q, self.output_alphabet_size)
+        _check_memory(self.q, self.memory, self.initial_symbol)
+        table = _checked_log_transition(self.log_transition, self.tuple_count, self.output_alphabet_size)
         object.__setattr__(self, "log_transition", table)
 
-    log_magnitude = cached_property(_log_magnitude)
+    @property
+    def tuple_count(self) -> int:
+        """Rows of the table: q^(L+1) symbol tuples."""
+        return self.q ** (self.memory + 1)
+
+    @cached_property
+    def log_magnitude(self) -> float:
+        """Largest magnitude of a finite log table entry (0.0 if none): no likelihood entry exceeds it."""
+        finite = self.log_transition[np.isfinite(self.log_transition)]
+        return float(np.abs(finite).max()) if finite.size else 0.0
 
     @classmethod
     def from_probabilities(cls, probabilities: np.ndarray) -> "DiscreteChannel":
         logs = _log_table(probabilities)
-        q, out = logs.shape
-        return cls(q=q, output_alphabet_size=out, log_transition=logs)
+        return cls(*logs.shape, logs)
 
-    @classmethod
-    def bsc(cls, crossover: float) -> "DiscreteChannel":
+    @staticmethod
+    def bsc(crossover: float) -> "DiscreteChannel":
         """Binary symmetric channel with flip probability ``crossover``."""
         if not 0.0 <= crossover <= 1.0:
             msg = f"crossover probability {crossover} outside [0, 1]"
             raise InvalidParams(msg)
         p = float(crossover)
-        return cls.from_probabilities([[1.0 - p, p], [p, 1.0 - p]])
+        return DiscreteChannel.from_probabilities([[1.0 - p, p], [p, 1.0 - p]])
 
-    @classmethod
-    def symmetric(cls, q: int, error: float) -> "DiscreteChannel":
+    @staticmethod
+    def symmetric(q: int, error: float) -> "DiscreteChannel":
         """q-ary symmetric channel: wrong symbols share probability ``error``."""
         if q < 2:
             msg = f"q={q} must be at least 2"
@@ -128,7 +126,19 @@ class DiscreteChannel:
             raise InvalidParams(msg)
         table = np.full((q, q), error / (q - 1), dtype=np.float64)
         np.fill_diagonal(table, 1.0 - error)
-        return cls.from_probabilities(table)
+        return DiscreteChannel.from_probabilities(table)
+
+
+@dataclass(frozen=True)
+class IsiChannel(DiscreteChannel):
+    """A ``DiscreteChannel`` built from its tuple table with the memory named up front."""
+
+    @classmethod
+    def from_probabilities(
+        cls, q: int, memory: int, probabilities: np.ndarray, initial_symbol: int = 1
+    ) -> "IsiChannel":
+        logs = _log_table(probabilities)
+        return cls(q, logs.shape[1], logs, memory, initial_symbol)
 
 
 @dataclass(frozen=True)
@@ -170,8 +180,8 @@ class ContinuousChannel:
     def log_density(self, received: np.ndarray) -> np.ndarray:
         """Per-position densities: entry (..., i, s-1) is log f(y_i | symbol s)."""
         y = np.asarray(received, dtype=np.float64)
-        if y.ndim not in (1, 2):
-            msg = "received values must be an (n,) vector or a (B, n) batch"
+        if y.ndim not in (1, 2) or y.shape[-1] < 1:
+            msg = "received values must be a non-empty (n,) vector or a (B, n) batch"
             raise InvalidParams(msg)
         if not np.isfinite(y).all():
             msg = "received values must be finite"
@@ -240,81 +250,27 @@ class ErasureObservation:
         return "\n".join("".join("e" if v == ERASED else str(int(v)) for v in w) for w in np.atleast_2d(self.values))
 
 
-@dataclass(frozen=True)
-class IsiChannel:
-    """Discrete channel whose output depends on the last ``memory`` symbols too.
-
-    ``log_transition`` has one row per (current symbol, predecessors) tuple,
-    indexed base-q with the current symbol most significant; positions
-    before the first symbol read ``initial_symbol``.  ``memory=0`` reduces
-    to a memoryless channel.
-    """
-
-    q: int
-    memory: int
-    output_alphabet_size: int
-    log_transition: np.ndarray = field(repr=False)
-    initial_symbol: int = 1
-
-    def __post_init__(self) -> None:
-        if self.q < 2 or self.output_alphabet_size < 1:
-            msg = "need q >= 2 input symbols and at least one output symbol"
-            raise InvalidParams(msg)
-        if self.memory < 0:
-            msg = f"memory must be >= 0, got {self.memory}"
-            raise InvalidParams(msg)
-        if not 1 <= self.initial_symbol <= self.q:
-            msg = f"initial symbol {self.initial_symbol} must lie in 1..{self.q}"
-            raise SymbolOutOfRange(msg)
-        rows = self.q ** (self.memory + 1)
-        table = _checked_log_transition(self.log_transition, rows, self.output_alphabet_size)
-        object.__setattr__(self, "log_transition", table)
-
-    log_magnitude = cached_property(_log_magnitude)
-
-    @property
-    def tuple_count(self) -> int:
-        return int(self.q ** (self.memory + 1))
-
-    @classmethod
-    def from_probabilities(
-        cls, q: int, memory: int, probabilities: np.ndarray, initial_symbol: int = 1
-    ) -> "IsiChannel":
-        logs = _log_table(probabilities)
-        return cls(
-            q=q,
-            memory=memory,
-            output_alphabet_size=logs.shape[1],
-            log_transition=logs,
-            initial_symbol=initial_symbol,
-        )
-
-
-def _check_discrete_observation(out_size: int, received: np.ndarray) -> np.ndarray:
-    y = np.asarray(received)
-    if y.ndim not in (1, 2) or y.size < 1:
-        msg = "an observation must be a non-empty (n,) vector or a (B, n) batch"
-        raise InvalidParams(msg)
-    y = whole_numbers(y, 1, out_size)
-    if y is None:
-        msg = f"received symbols must lie in 1..{out_size} and be whole numbers"
-        raise ObservationOutOfAlphabet(msg)
-    return y
-
-
 def conditional_probability_vector(channel, received: np.ndarray) -> np.ndarray:
     """Length n*q log-likelihood vector: block i holds log P(y_i | x = 1..q).
 
-    For an IsiChannel block i holds log P(y_i | every symbol tuple), so the
-    vector has length n*q^(L+1).  A ``(B, n)`` batch of observations gives
-    one such row per word.
+    Over a channel with memory L block i holds log P(y_i | every symbol
+    tuple), so the vector has length n*q^(L+1).  A ``(B, n)`` batch of
+    observations gives one such row per word, and a ``(0, n)`` batch none.
     """
-    if isinstance(channel, (DiscreteChannel, IsiChannel)):
-        y = _check_discrete_observation(channel.output_alphabet_size, received)
-        return channel.log_transition.T.take(y - 1, axis=0).reshape(y.shape[:-1] + (-1,))
+    if isinstance(channel, DiscreteChannel):
+        y = np.asarray(received)
+        if y.ndim not in (1, 2) or y.shape[-1] < 1:
+            msg = "an observation must be a non-empty (n,) vector or a (B, n) batch"
+            raise InvalidParams(msg)
+        y = whole_numbers(y, 1, channel.output_alphabet_size)
+        if y is None:
+            msg = f"received symbols must lie in 1..{channel.output_alphabet_size} and be whole numbers"
+            raise ObservationOutOfAlphabet(msg)
+        table = channel.log_transition
+        return table.T.take(y - 1, axis=0).reshape(y.shape[:-1] + (y.shape[-1] * table.shape[0],))
     if isinstance(channel, ContinuousChannel):
         density = channel.log_density(received)
-        return density.reshape(density.shape[:-2] + (-1,))
+        return density.reshape(density.shape[:-2] + (density.shape[-2] * channel.q,))
     msg = f"no likelihood vector for channel type {type(channel).__name__}"
     raise InvalidParams(msg)
 
@@ -353,10 +309,8 @@ def sample_channel(channel, codeword: np.ndarray, rng) -> np.ndarray | ErasureOb
     single-word calls would draw in turn.
     """
     rng = np.random.default_rng(rng)
-    if isinstance(channel, (DiscreteChannel, IsiChannel)):
-        memory = channel.memory if isinstance(channel, IsiChannel) else 0
-        # At memory 0 the tuple index is symbol - 1, whatever the initial symbol.
-        idx = tuple_indices(channel.q, memory, codeword, channel.initial_symbol if memory else 1)
+    if isinstance(channel, DiscreteChannel):
+        idx = tuple_indices(channel.q, channel.memory, codeword, channel.initial_symbol)
         return _sample_categorical(channel.log_transition, idx, rng)
     if isinstance(channel, ContinuousChannel):
         word = validate_symbols(channel.q, codeword)
@@ -364,8 +318,7 @@ def sample_channel(channel, codeword: np.ndarray, rng) -> np.ndarray | ErasureOb
         return points + channel.sigma * rng.standard_normal(word.shape)
     if isinstance(channel, ErasureChannel):
         word = validate_symbols(2, codeword)
-        bits = word - 1
         erased = rng.random(word.shape) < channel.erasure_probability
-        return ErasureObservation(values=np.where(erased, ERASED, bits))
+        return ErasureObservation(values=np.where(erased, ERASED, word - 1))
     msg = f"cannot sample from channel type {type(channel).__name__}"
     raise InvalidParams(msg)

@@ -1,7 +1,7 @@
 """Command-line front end.
 
 One subcommand per decoding mode plus simulation, benchmarking, code
-generation, and inspection.  The five decode commands share one handler
+generation, and inspection.  The four decode commands share one handler
 that runs the simulation's variant path: ``simulate._prepare`` builds the
 variant's structure once, the received words decode a chunk at a time
 through ``simulate._decode_chunk`` (chunks sized by
@@ -274,14 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_received_arguments(synd)
     synd.add_argument("--oracle", action="store_true", help="cross-check by brute force")
     synd.set_defaults(handler=_cmd_decode, variant="syndrome")
-
-    isi = sub.add_parser("isi-decode", help="ML decode over a channel with memory")
-    _add_code_arguments(isi)
-    isi.add_argument("--channel", required=True, help="isi-dmc channel file")
-    _add_received_arguments(isi)
-    isi.add_argument("--tie-tol", type=float, default=0.0, help="tie tolerance (default 0)")
-    isi.add_argument("--oracle", action="store_true", help="cross-check by brute force")
-    isi.set_defaults(handler=_cmd_decode, variant="isi")
 
     sim = sub.add_parser("simulate", help="Monte Carlo frame-error simulation")
     _add_code_arguments(sim)

@@ -21,6 +21,7 @@ arithmetic shifts to 0-based immediately on entry.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,7 @@ class Code:
     codewords: np.ndarray = field(repr=False)
 
     def __post_init__(self, known_distinct: bool = False) -> None:
+        _integer_fields(self, "q", "n")
         if self.q < 2:
             msg = f"alphabet size q={self.q} must be at least 2"
             raise InvalidParams(msg)
@@ -108,6 +110,7 @@ class LinearCode:
     generator: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        _integer_fields(self, "q", "n", "k")
         if not _is_prime(self.q):
             msg = f"q={self.q} is not prime; linear codes need a prime field"
             raise InvalidParams(msg)
@@ -192,6 +195,16 @@ def _row_reduce_mod_q(matrix: np.ndarray, q: int) -> tuple[np.ndarray, list[int]
 
 def _rank_mod_q(matrix: np.ndarray, q: int) -> int:
     return len(_row_reduce_mod_q(matrix, q)[1])
+
+
+def _integer_fields(instance, *names: str) -> None:
+    """Store the named fields of a frozen dataclass as Python ints; a float, even 2.0, raises InvalidParams."""
+    for name in names:
+        try:
+            object.__setattr__(instance, name, operator.index(getattr(instance, name)))
+        except TypeError:
+            msg = f"{name} must be an integer, got {getattr(instance, name)!r}"
+            raise InvalidParams(msg) from None
 
 
 def validate_symbols(q: int, word: np.ndarray, dtype=np.int64) -> np.ndarray:

@@ -44,8 +44,8 @@ import numpy as np
 
 from .channels import (
     ContinuousChannel,
+    DiscreteChannel,
     ErasureObservation,
-    IsiChannel,
     bipolar_received_vector,
     conditional_probability_vector,
 )
@@ -181,7 +181,7 @@ def _slack(channel, vector: np.ndarray, n: int) -> float | np.ndarray:
     factor = 2.0 * k / (1.0 - k)
     if not isinstance(channel, ContinuousChannel):
         return min(factor * n * channel.log_magnitude, _LARGEST)
-    magnitudes = np.abs(vector.reshape(vector.shape[:-1] + (n, -1)))
+    magnitudes = np.abs(vector.reshape(vector.shape[:-1] + (n, vector.shape[-1] // n)))
     magnitudes[np.isinf(magnitudes)] = 0.0
     slack = np.minimum(factor * magnitudes.max(axis=-1).sum(axis=-1), _LARGEST)
     return slack[:, None] if vector.ndim == 2 else float(slack)
@@ -264,10 +264,9 @@ def _likelihoods(codebook: CodebookMatrix, code: Code, channel, received, ops) -
     if channel.q != code.q:
         msg = f"channel input alphabet {channel.q} does not match code q={code.q}"
         raise DimensionMismatch(msg)
-    if isinstance(channel, IsiChannel):
-        memory, initial = channel.memory, channel.initial_symbol
-    else:  # a memoryless channel never reads an initial symbol
-        memory, initial = 0, codebook.initial_symbol
+    memory = channel.memory if isinstance(channel, DiscreteChannel) else 0
+    # A memoryless channel never reads an initial symbol.
+    initial = channel.initial_symbol if memory else codebook.initial_symbol
     if (codebook.memory, codebook.initial_symbol) != (memory, initial):
         msg = (
             f"codebook (memory={codebook.memory}, initial={codebook.initial_symbol})"

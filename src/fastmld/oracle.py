@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ErasureObservation, IsiChannel, conditional_probability_vector
+from .channels import DiscreteChannel, ErasureObservation, conditional_probability_vector
 from .codes import Code, tuple_indices, whole_numbers
 from .decoder import DecodeResult, _finish, _slack
 from .errors import DimensionMismatch, ObservationOutOfAlphabet
@@ -66,7 +66,7 @@ def esd_decode(
     ``c_i``.  Takes one observation ``(n,)`` or a batch ``(B, n)``, and
     sums left to right, one position at a time, per codeword tile.
     """
-    memory = channel.memory if isinstance(channel, IsiChannel) else 0
+    memory = channel.memory if isinstance(channel, DiscreteChannel) else 0
     width = code.q ** (memory + 1)
     vector = conditional_probability_vector(channel, received)
     if vector.shape[-1] != code.n * width:

@@ -19,9 +19,10 @@ Each variant's decisions live here once, in three steps that the command
 line's decode commands share with ``run_monte_carlo``: ``_prepare`` builds
 the variant's structure, ``_decode_chunk`` decodes a batch with it, and
 ``_oracle_agreement`` checks every row of a decoded batch by brute force.
-ml, list and isi score on the codebook of the channel's memory (row blocks
-without memory, position blocks with it) and check against one
-``esd_decode`` call; isi only insists on an IsiChannel.  erasure scores on
+ml, list and isi score on the codebook of the channel's memory (position
+blocks for an IsiChannel or a channel with memory, row blocks for the
+other memoryless channels) and check against one ``esd_decode`` call; isi
+refuses a memoryless channel that is not an IsiChannel.  erasure scores on
 the memoryless one-hot codebook by position blocks and checks against
 ``min_distance_decode``.
 """
@@ -276,8 +277,10 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
 def _prepare(variant: str, code, linear, channel):
     """The structure ``variant`` decodes with, once its code and channel are checked.
 
-    ml, list and isi score on the codebook of the channel's memory,
-    erasure on ``build_bipolar_codebook``'s position-block one-hot
+    ml, list and isi score on the codebook of the channel's memory:
+    position blocks for an IsiChannel at any memory and for any channel
+    with memory, row blocks for the other memoryless channels.  erasure
+    scores on ``build_bipolar_codebook``'s position-block one-hot
     codebook; syndrome gets the syndrome codebook, its coset leaders and
     the parity checks both came from.
     """
@@ -290,16 +293,16 @@ def _prepare(variant: str, code, linear, channel):
         if linear is None:
             msg = "syndrome simulation needs a linear code"
             raise InvalidParams(msg)
-        if not isinstance(channel, DiscreteChannel) or channel.q != 2:
-            msg = "syndrome simulation needs a binary discrete channel"
+        if not isinstance(channel, DiscreteChannel) or channel.q != 2 or channel.memory != 0:
+            msg = "syndrome simulation needs a memoryless binary discrete channel"
             raise InvalidParams(msg)
         # One row reduction serves the leader scan and every chunk's decode.
         parity_check = parity_check_from_generator(linear)
         return build_syndrome_matrix(linear, parity_check) + (parity_check,)
-    if isinstance(channel, IsiChannel):
+    if isinstance(channel, IsiChannel) or getattr(channel, "memory", 0):
         return build_codebook_matrix_isi(code, channel.memory, channel.initial_symbol)
     if variant == "isi":
-        msg = "isi decoding needs an IsiChannel (an isi-dmc channel file)"
+        msg = "isi decoding needs a channel with memory or an IsiChannel (an isi-dmc channel file)"
         raise InvalidParams(msg)
     return build_codebook_matrix(code)
 

@@ -6,8 +6,8 @@ per-layer metrics by the names of traced calls, and checks the product's
 addition tally.  A change that breaks any of these fails a short traced
 run of each workload here, before the benchmark itself is run.  The runs
 write under the git-ignored ``perfbench/out/``.  The benchmark's own
-tests, which show that each check rejects a corrupted result, run here
-too, since ``perfbench/`` is outside the collected test paths.
+tests, which show that each check rejects a corrupted result, are
+``perfbench/test_checks.py``, collected with these through ``testpaths``.
 """
 
 import json
@@ -52,13 +52,3 @@ def test_traced_run_reports_every_per_layer_metric_and_no_failure(workload):
     assert len(names) == 24
     assert set(names) <= set(result["metrics"])
 
-
-def test_benchmark_checks_reject_corrupted_results():
-    done = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "perfbench/test_checks.py"],
-        cwd=ROOT,
-        capture_output=True,
-        text=True,
-        timeout=300,
-    )
-    assert done.returncode == 0, done.stdout + done.stderr

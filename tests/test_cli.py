@@ -166,22 +166,26 @@ def test_syndrome_oracle_checks_the_received_word(hamming_file, capsys, monkeypa
 
 
 def test_isi_decode(toy_code_file, tmp_path, capsys):
+    # decode takes an isi-dmc channel file and scores each (symbol, predecessor) pair.
     chan = tmp_path / "isi.chan"
     chan.write_text(
         "kind isi-dmc\nq 2\nmemory 1\n"
         "row 0.9 0.1\nrow 0.2 0.8\nrow 0.7 0.3\nrow 0.1 0.9\n"
     )
     code = main(
-        ["isi-decode", "--code", toy_code_file, "--channel", str(chan), "--rx", "010", "--oracle"]
+        ["decode", "--code", toy_code_file, "--channel", str(chan), "--rx", "010", "--oracle"]
     )
     assert code == 0
-    assert "oracle_match 1" in lines_of(capsys)
-
-
-def test_isi_decode_rejects_memoryless_channel(toy_code_file, capsys):
-    code = main(["isi-decode", "--code", toy_code_file, "--channel", "bsc:0.1", "--rx", "010"])
-    assert code == 1
-    assert "isi-dmc" in capsys.readouterr().err
+    assert lines_of(capsys) == [
+        "word 010",
+        "best_index 3",
+        "best_score -0.6851790109107685",
+        "ties 3",
+        "scores -2.7646205525906042 -2.9187712324178627 -0.6851790109107685 -2.7646205525906042",
+        "codeword 100",
+        "oracle_ties 3",
+        "oracle_match 1",
+    ]
 
 
 def test_inspect_format(toy_code_file, capsys):
@@ -284,8 +288,8 @@ def _file_cases():
         case("erasure-decode", "golay", [], golay_erased, id="erasure-golay"),
         case("syndrome-decode", "hamming", [], _bits(rng, 7, 6), id="syndrome-hamming"),
         case("syndrome-decode", "golay", [], _bits(rng, 23, 70), id="syndrome-golay"),
-        case("isi-decode", "toy", isi, ["010", "111", "000"], id="isi-toy"),
-        case("isi-decode", "hamming", isi, _bits(rng, 7, 5), id="isi-hamming"),
+        case("decode", "toy", isi, ["010", "111", "000"], id="isi-toy"),
+        case("decode", "hamming", isi, _bits(rng, 7, 5), id="isi-hamming"),
         case("decode", "hamming", isi, _bits(rng, 7, 5), id="decode-hamming-isi"),
         case("list-decode", "toy", isi + ["--list-size", "3"], ["010", "111"], id="list-toy-isi"),
         case("list-decode", "hamming", isi + ["--list-size", "4"], _bits(rng, 7, 5), id="list-hamming-isi"),
@@ -332,10 +336,10 @@ def test_decode_and_list_decode_take_an_isi_channel_file(tmp_path, capsys, code)
         source, word = ["--gen", str(tmp_path / "h.gen")], "0110100"
         write_linear_code_file(tmp_path / "h.gen", hamming_code())
     base = source + ["--channel", str(chan), "--rx", word, "--oracle"]
-    assert main(["isi-decode"] + base) == 0
-    isi = capsys.readouterr().out
     assert main(["decode"] + base) == 0
-    assert capsys.readouterr().out == isi  # one likelihood path
+    out = lines_of(capsys)
+    assert out[0] == f"word {word}"
+    assert out[-1] == "oracle_match 1"
     assert main(["list-decode"] + base + ["--list-size", "3"]) == 0
     out = lines_of(capsys)
     assert out[0] == f"word {word}"
@@ -362,16 +366,19 @@ def test_received_words_are_read_by_the_channels_output_alphabet(toy_code_file, 
 
 
 @pytest.mark.parametrize(
-    "command", ["decode", "list-decode", "erasure-decode", "syndrome-decode", "isi-decode"]
+    "command, extra",
+    [
+        pytest.param("decode", ["--channel", "bsc:0.1"], id="decode"),
+        pytest.param("list-decode", ["--channel", "bsc:0.1", "--list-size", "2"], id="list-decode"),
+        pytest.param("erasure-decode", [], id="erasure-decode"),
+        pytest.param("syndrome-decode", [], id="syndrome-decode"),
+        pytest.param("decode", ["--channel", "isi"], id="decode-isi"),
+    ],
 )
-def test_a_wrong_length_word_in_a_file_is_a_domain_error(hamming_file, tmp_path, capsys, command):
+def test_a_wrong_length_word_in_a_file_is_a_domain_error(hamming_file, tmp_path, capsys, command, extra):
     chan = tmp_path / "isi.chan"
     chan.write_text(ISI_CHANNEL)
-    extra = {
-        "decode": ["--channel", "bsc:0.1"],
-        "list-decode": ["--channel", "bsc:0.1", "--list-size", "2"],
-        "isi-decode": ["--channel", str(chan)],
-    }.get(command, [])
+    extra = [str(chan) if arg == "isi" else arg for arg in extra]
     rx = tmp_path / "words"
     rx.write_text("0000000\n111\n1010101\n")
     assert main([command, "--gen", hamming_file, "--rx-file", str(rx)] + extra) == 1

@@ -10,7 +10,9 @@ import fastmld.codes as codes_mod
 from fastmld import (
     CapacityExceeded,
     Code,
+    DiscreteChannel,
     InvalidParams,
+    IsiChannel,
     LinearCode,
     NonBinaryCode,
     RankDeficient,
@@ -403,3 +405,30 @@ def test_coset_leaders_peak_memory_stays_under_the_dense_scan():
     finally:
         tracemalloc.stop()
     assert peak <= 17.9 * 2**20
+
+
+def test_integer_parameters_must_be_integers():
+    words = np.array([[1, 2], [2, 1]])
+    generator = np.array([[1, 1, 1]])
+    logs, tuple_logs = np.log(np.full((2, 2), 0.5)), np.log(np.full((4, 2), 0.5))
+    for build in (
+        lambda: Code(q=2.5, n=2, codewords=words),
+        lambda: Code(q=2, n=2.0, codewords=words),
+        lambda: LinearCode(q=2.0, n=3, k=1, generator=generator),
+        lambda: LinearCode(q=2, n=3, k=1.0, generator=generator),
+        lambda: DiscreteChannel(q=2.0, output_alphabet_size=2, log_transition=logs),
+        lambda: DiscreteChannel(q=2, output_alphabet_size=2.0, log_transition=logs),
+        lambda: DiscreteChannel(2, 2, logs, initial_symbol=1.0),
+        lambda: IsiChannel(q=2, output_alphabet_size=2, log_transition=tuple_logs, memory=1.0),
+        lambda: IsiChannel.from_probabilities(2, 1.0, np.full((4, 2), 0.5)),
+    ):
+        with pytest.raises(InvalidParams):
+            build()
+    # numpy integers pass, stored as Python ints.
+    code = Code(q=np.int64(2), n=np.uint8(2), codewords=words)
+    linear = LinearCode(q=np.int32(2), n=np.int64(3), k=np.uint8(1), generator=generator)
+    channel = IsiChannel(np.int64(2), np.int16(2), tuple_logs, np.uint8(1), np.int64(2))
+    assert {type(v) for v in (code.q, code.n, linear.q, linear.n, linear.k)} == {int}
+    fields = (channel.q, channel.output_alphabet_size, channel.memory, channel.initial_symbol)
+    assert {type(v) for v in fields} == {int}
+    assert channel.tuple_count == 4

@@ -22,6 +22,7 @@ from fastmld import (
     build_codebook_matrix,
     build_codebook_matrix_isi,
     build_syndrome_matrix,
+    conditional_probability_vector,
     enumerate_codewords,
     erasure_decode,
     esd_decode,
@@ -31,6 +32,7 @@ from fastmld import (
     op_count,
     parity_check_from_generator,
     random_linear_code,
+    sample_channel,
     syndrome,
     syndrome_decode,
     vec_times_matrix,
@@ -337,6 +339,36 @@ def test_empty_batches_decode_to_empty_results():
     assert outcome.distances.shape == (0, 8)
 
 
+def test_empty_likelihood_batches_decode_to_empty_results():
+    # A (0, n) batch gives empty per-row results on every likelihood path;
+    # a word with no positions is refused.
+    code = enumerate_codewords(hamming_code())
+    isi = IsiChannel.from_probabilities(2, 1, [[0.9, 0.1], [0.2, 0.8], [0.7, 0.3], [0.1, 0.9]])
+    cases = [
+        (DiscreteChannel.bsc(0.1), build_codebook_matrix(code), np.ones((0, 7), dtype=np.int64)),
+        (isi, build_codebook_matrix_isi(code, 1), np.ones((0, 7), dtype=np.int64)),
+        (ContinuousChannel.awgn(0.8), build_codebook_matrix(code), np.ones((0, 7))),
+    ]
+    for channel, codebook, empty in cases:
+        for result in (ml_decode(codebook, code, channel, empty), esd_decode(code, channel, empty)):
+            assert result.scores.shape == result.ties.shape == (0, 16)
+            assert result.best_index.shape == result.best_score.shape == result.implausible.shape == (0,)
+            assert result.best_codeword.shape == (0, 7)
+        listed = list_decode(codebook, code, channel, empty, 3)
+        assert listed.indices.shape == listed.scores.shape == (0, 3)
+        for word in (np.ones(0), np.ones((2, 0))):
+            with pytest.raises(InvalidParams):
+                ml_decode(codebook, code, channel, word)
+            with pytest.raises(InvalidParams):
+                list_decode(codebook, code, channel, word, 3)
+            with pytest.raises(InvalidParams):
+                esd_decode(code, channel, word)
+    # Wider than a full sort: the top-L selection of an empty batch.
+    wide = random_code(np.random.default_rng(5), 2, 12, 1100)
+    listed = list_decode(build_codebook_matrix(wide), wide, DiscreteChannel.bsc(0.1), np.ones((0, 12)), 4)
+    assert listed.indices.shape == (0, 4)
+
+
 def test_syndrome_decode_repetition_code():
     linear = rep3_code()
     syndrome_matrix, leaders = build_syndrome_matrix(linear)
@@ -440,6 +472,52 @@ def test_list_decode_over_isi_agrees_with_the_oracle_ranking(memory):
         single = list_decode(codebook, code, chan, y, 6)
         assert single.indices == tuple(listed.indices[b])
         assert ranking_equivalent(scores[b], single.indices, expected[b])
+
+
+def _assert_decodes_equal(codebook, code, first, second, received):
+    for decode in (ml_decode, lambda *args: esd_decode(*args[1:])):
+        a, b = decode(codebook, code, first, received), decode(codebook, code, second, received)
+        for name in ("best_index", "best_score", "ties", "scores", "implausible"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    a, b = list_decode(codebook, code, first, received, 5), list_decode(codebook, code, second, received, 5)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(a.scores, b.scores)
+
+
+def test_memoryless_isi_channel_is_the_discrete_channel():
+    rng = np.random.default_rng(70)
+    probs = rng.dirichlet(np.ones(3), size=2)
+    plain = DiscreteChannel.from_probabilities(probs)
+    isi = IsiChannel.from_probabilities(2, 0, probs, initial_symbol=2)
+    code = random_code(rng, 2, 9, 60)
+    received = rng.integers(1, 4, size=(20, code.n))
+    np.testing.assert_array_equal(
+        conditional_probability_vector(plain, received), conditional_probability_vector(isi, received)
+    )
+    words = code.codewords[rng.integers(code.size, size=30)]
+    np.testing.assert_array_equal(sample_channel(plain, words, 3), sample_channel(isi, words, 3))
+    # The memoryless constructors a subclass inherits still build memoryless channels.
+    np.testing.assert_array_equal(IsiChannel.bsc(0.1).log_transition, DiscreteChannel.bsc(0.1).log_transition)
+    assert IsiChannel.symmetric(3, 0.2).memory == 0
+    # At memory 0 the initial symbol is never read, so either codebook serves either channel.
+    for codebook in (build_codebook_matrix(code), build_codebook_matrix_isi(code, 0)):
+        _assert_decodes_equal(codebook, code, plain, isi, received)
+
+
+def test_discrete_channel_with_memory_is_the_isi_channel():
+    rng = np.random.default_rng(71)
+    probs = rng.dirichlet(np.ones(3), size=4)
+    isi = IsiChannel.from_probabilities(2, 1, probs, initial_symbol=2)
+    plain = DiscreteChannel(2, 3, np.log(probs), memory=1, initial_symbol=2)
+    np.testing.assert_array_equal(plain.log_transition, isi.log_transition)
+    code = random_code(rng, 2, 9, 60)
+    received = rng.integers(1, 4, size=(20, code.n))
+    np.testing.assert_array_equal(
+        conditional_probability_vector(plain, received), conditional_probability_vector(isi, received)
+    )
+    words = code.codewords[rng.integers(code.size, size=30)]
+    np.testing.assert_array_equal(sample_channel(plain, words, 4), sample_channel(isi, words, 4))
+    _assert_decodes_equal(build_codebook_matrix_isi(code, 1, 2), code, plain, isi, received)
 
 
 def test_isi_decode_validates_memory_match():

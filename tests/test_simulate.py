@@ -119,6 +119,40 @@ def test_syndrome_variant_needs_linear_code():
         run_monte_carlo(config)
 
 
+def test_syndrome_variant_needs_a_memoryless_channel():
+    # A channel with memory is a DiscreteChannel too, and syndrome decoding refuses it.
+    table = [[0.9, 0.1], [0.2, 0.8], [0.7, 0.3], [0.1, 0.9]]
+    for channel in (IsiChannel.from_probabilities(2, 1, table), DiscreteChannel(2, 2, np.log(table), memory=1)):
+        config = SimConfig(code_source=hamming_code(), channel=channel, trials=50, seed=0, variant="syndrome")
+        with pytest.raises(InvalidParams):
+            run_monte_carlo(config)
+
+
+@pytest.mark.parametrize("variant", ["ml", "list", "isi"])
+def test_a_discrete_channel_with_memory_simulates_as_the_isi_channel(variant):
+    probs = np.random.default_rng(41).dirichlet(np.ones(3), size=4)
+    channels = (
+        IsiChannel.from_probabilities(2, 1, probs, initial_symbol=2),
+        DiscreteChannel(2, 3, np.log(probs), memory=1, initial_symbol=2),
+    )
+    reports = [
+        run_monte_carlo(
+            SimConfig(
+                code_source=hamming_code(),
+                channel=channel,
+                trials=120,
+                seed=9,
+                variant=variant,
+                list_size=3 if variant == "list" else 1,
+                oracle_check=True,
+            )
+        )
+        for channel in channels
+    ]
+    assert reports[0].oracle_disagreements == 0
+    assert reports[0].canonical_text() == reports[1].canonical_text()
+
+
 def test_variant_channel_pairing_is_checked():
     config = SimConfig(
         code_source=rep3_code(),
