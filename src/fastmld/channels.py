@@ -48,8 +48,8 @@ def _log_table(probabilities: np.ndarray) -> np.ndarray:
 
 
 def _checked_log_transition(log_transition, rows: int, cols: int) -> np.ndarray:
-    """A read-only ``(rows, cols)`` table of log P(y|x), each row exponentiating to 1."""
-    table = np.asarray(log_transition, dtype=np.float64)
+    """A read-only copy of a ``(rows, cols)`` table of log P(y|x), each row exponentiating to 1."""
+    table = np.array(log_transition, dtype=np.float64)
     if table.shape != (rows, cols):
         msg = f"log_transition must be ({rows}, {cols}), got {table.shape}"
         raise InvalidParams(msg)
@@ -156,7 +156,8 @@ class ContinuousChannel:
         if not (np.isfinite(self.sigma) and self.sigma > 0):
             msg = f"sigma must be positive and finite, got {self.sigma}"
             raise InvalidParams(msg)
-        points = np.asarray(self.constellation, dtype=np.float64)
+        # A private copy: freezing the caller's own array would make it read-only.
+        points = np.array(self.constellation, dtype=np.float64)
         if points.ndim != 1 or points.shape[0] < 2:
             msg = "constellation must map at least two symbols to real points"
             raise InvalidParams(msg)

@@ -19,12 +19,11 @@ Each variant's decisions live here once, in three steps that the command
 line's decode commands share with ``run_monte_carlo``: ``_prepare`` builds
 the variant's structure, ``_decode_chunk`` decodes a batch with it, and
 ``_oracle_agreement`` checks every row of a decoded batch by brute force.
-ml, list and isi score on the codebook of the channel's memory (position
-blocks for an IsiChannel or a channel with memory, row blocks for the
-other memoryless channels) and check against one ``esd_decode`` call; isi
-refuses a memoryless channel that is not an IsiChannel.  erasure scores on
-the memoryless one-hot codebook by position blocks and checks against
-``min_distance_decode``.
+ml, list and isi score on the codebook of the channel's memory, by
+position blocks (memoryless ml alone keeps row blocks), and check against
+one ``esd_decode`` call; isi refuses a memoryless channel that is not an
+IsiChannel.  erasure scores on the memoryless one-hot codebook by position
+blocks and checks against ``min_distance_decode``.
 """
 
 from __future__ import annotations
@@ -277,9 +276,10 @@ def run_monte_carlo(config: SimConfig) -> SimReport:
 def _prepare(variant: str, code, linear, channel):
     """The structure ``variant`` decodes with, once its code and channel are checked.
 
-    ml, list and isi score on the codebook of the channel's memory:
-    position blocks for an IsiChannel at any memory and for any channel
-    with memory, row blocks for the other memoryless channels.  erasure
+    ml, list and isi score on the codebook of the channel's memory, by
+    position blocks (``build_codebook_matrix_isi``, at memory 0 for a
+    memoryless channel); only ml over a memoryless channel that is not an
+    IsiChannel scores on ``build_codebook_matrix``'s row blocks.  erasure
     scores on ``build_bipolar_codebook``'s position-block one-hot
     codebook; syndrome gets the syndrome codebook, its coset leaders and
     the parity checks both came from.
@@ -299,12 +299,17 @@ def _prepare(variant: str, code, linear, channel):
         # One row reduction serves the leader scan and every chunk's decode.
         parity_check = parity_check_from_generator(linear)
         return build_syndrome_matrix(linear, parity_check) + (parity_check,)
-    if isinstance(channel, IsiChannel) or getattr(channel, "memory", 0):
-        return build_codebook_matrix_isi(code, channel.memory, channel.initial_symbol)
-    if variant == "isi":
+    memory = getattr(channel, "memory", 0)
+    memoryless = memory == 0 and not isinstance(channel, IsiChannel)
+    if variant == "isi" and memoryless:
         msg = "isi decoding needs a channel with memory or an IsiChannel (an isi-dmc channel file)"
         raise InvalidParams(msg)
-    return build_codebook_matrix(code)
+    # Memoryless ml stays on row blocks only while perfbench pins them: its
+    # op-count check and the mc.ml product span read that layout (ROADMAP
+    # items 1-2).
+    if variant == "ml" and memoryless:
+        return build_codebook_matrix(code)
+    return build_codebook_matrix_isi(code, memory, getattr(channel, "initial_symbol", 1))
 
 
 def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, noise) -> _Tally:

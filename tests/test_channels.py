@@ -73,6 +73,20 @@ def test_direct_construction_still_checks_normalization():
             IsiChannel(q=2, memory=memory, output_alphabet_size=2, log_transition=table)
 
 
+def test_channels_freeze_a_copy_not_the_callers_array():
+    logs = np.log(np.full((2, 2), 0.5))
+    points = np.array([1.0, -1.0])
+    discrete = DiscreteChannel(2, 2, logs)
+    continuous = ContinuousChannel(sigma=1.0, constellation=points)
+    assert logs.flags.writeable and points.flags.writeable
+    logs[0] = [0.0, -np.inf]
+    points[0] = 5.0
+    np.testing.assert_array_equal(discrete.log_transition, np.log(np.full((2, 2), 0.5)))
+    np.testing.assert_array_equal(continuous.constellation, [1.0, -1.0])
+    assert not discrete.log_transition.flags.writeable
+    assert not continuous.constellation.flags.writeable
+
+
 def test_awgn_log_density():
     chan = ContinuousChannel.awgn(0.5)
     assert chan.q == 2

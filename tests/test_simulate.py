@@ -275,6 +275,48 @@ def test_erasure_mean_additions_match_kernel_prediction(linear, additions):
     assert report.mean_decode_additions == float(op_count(codebook.factorization).additions) == additions
 
 
+@pytest.mark.parametrize("channel", [DiscreteChannel.bsc(0.05), ContinuousChannel.awgn(0.8)], ids=["bsc", "awgn"])
+@pytest.mark.parametrize("linear,additions", [(golay_code(), 9460.0), (hamming_code(), 56.0)], ids=["golay", "hamming"])
+def test_list_mean_additions_match_kernel_prediction(linear, additions, channel):
+    from fastmld import build_codebook_matrix_isi, enumerate_codewords, op_count
+
+    # A memoryless list decode scores on the one-hot codebook's position
+    # blocks, the blocks erasure decoding uses; the oracle ranks every trial.
+    config = SimConfig(
+        code_source=linear, channel=channel, trials=64, seed=9, variant="list", list_size=4, oracle_check=True
+    )
+    report = run_monte_carlo(config)
+    codebook = build_codebook_matrix_isi(enumerate_codewords(linear), 0)
+    assert report.mean_decode_additions == float(op_count(codebook.factorization).additions) == additions
+    assert report.oracle_disagreements == 0
+
+
+def test_only_memoryless_ml_scores_on_row_blocks():
+    from fastmld import MailmanFactorization, TupleFactorization, enumerate_codewords
+
+    linear = hamming_code()
+    code = enumerate_codewords(linear)
+    table = [[0.9, 0.1], [0.7, 0.3], [0.3, 0.7], [0.1, 0.9]]
+    memoryless = [
+        DiscreteChannel.bsc(0.1),
+        DiscreteChannel.from_probabilities([[0.7, 0.1, 0.1, 0.1], [0.1, 0.1, 0.1, 0.7]]),
+        ContinuousChannel.awgn(0.8),
+    ]
+    with_memory = [
+        IsiChannel.from_probabilities(2, 1, table),
+        IsiChannel.from_probabilities(2, 0, table[::3]),
+        DiscreteChannel(2, 2, np.log(table), memory=1),
+    ]
+    for channel in memoryless:
+        assert isinstance(simulate._prepare("ml", code, linear, channel).factorization, MailmanFactorization)
+        assert isinstance(simulate._prepare("list", code, linear, channel).factorization, TupleFactorization)
+    for channel in with_memory:
+        for variant in ("ml", "list", "isi"):
+            structure = simulate._prepare(variant, code, linear, channel)
+            assert isinstance(structure.factorization, TupleFactorization)
+            assert structure.factorization.memory == channel.memory
+
+
 def test_bench_rows_and_bound():
     rows = bench_multiply([16, 32], [64, 256], repetitions=1, seed=4)
     assert len(rows) == 4
