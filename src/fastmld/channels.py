@@ -211,13 +211,14 @@ class ErasureChannel:
 class ErasureObservation:
     """Received binary word with erasures: entries 0, 1, or ERASED (-1).
 
-    ``values`` is one word ``(n,)`` or a batch of words ``(B, n)``.
+    ``values`` is one word ``(n,)`` or a batch of words ``(B, n)``, kept
+    as a read-only int64 copy: the caller's array stays its own.
     """
 
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values)
+        values = np.array(self.values)
         if values.ndim not in (1, 2) or values.shape[-1] < 1:
             msg = "an observation must be a non-empty (n,) vector or a (B, n) batch"
             raise InvalidParams(msg)

@@ -7,8 +7,10 @@ score vector for the argmax (or the top of the ranking).  Decoders differ
 only in the vector they build: log-likelihoods for ``ml_decode`` and
 ``list_decode``, the one-hot rows (-b_i, +b_i) of a +1/-1/0 bipolar word
 for ``erasure_decode``, and syndrome bits for ``syndrome_decode``.
-A list decode is the same product plus its ranking: a stable sort up to
-``_SORT_MAX_COLS`` codewords, and above that an O(S) top-L selection.
+A list decode is the same product plus its ranking, in one of three
+regimes: a stable sort up to ``_SORT_MAX_COLS`` codewords; above that, L
+argmax passes for a list of L <= log2 S; and an O(S) partition for
+longer lists.
 A channel with memory is priced per (symbol, predecessors) tuple, so ISI
 decoding is ``ml_decode`` on ``build_codebook_matrix_isi``, whose
 position blocks cost about what memoryless decoding does, and
@@ -68,15 +70,19 @@ from .errors import (
 )
 from .mailman import OpCount, vec_times_matrix
 
-#: Widest score row that ``list_decode`` ranks by a full stable sort; wider
-#: rows take the O(S) selection of ``_top``, whose dozen numpy calls cost
-#: about 30 us per call whatever S is.  Timed on a 2-core Xeon host with
-#: L = 4 and tied BSC scores, best of 9: a single row sorts faster up to
-#: S = 1024 (23-25 us against 38-40 us) and selects faster from S = 2048
-#: (47-49 us against 68-71 us; 58-64 against 167-178 us at S = 4096).
-#: Batches of 8 rows select faster from S = 256 and 1 MiB batches from
-#: S = 128, but no benchmark workload ranks batches that narrow, so they
-#: keep the sort until one does.
+#: Widest score row that ``list_decode`` ranks by a full stable sort.  Wider
+#: rows take ``_top``'s argmax passes (L <= log2 S) or its partition.  The
+#: cut was timed against the partition, whose dozen numpy calls cost about
+#: 30 us per call whatever S is, on a 2-core host with L = 4 and tied BSC
+#: scores, best of 9: a single row sorts faster up to S = 1024 (23-25 us
+#: against 38-40 us) and partitions faster from S = 2048 (47-49 us against
+#: 68-71 us).  At small L the passes beat both (Golay BSC scores, S = 4096,
+#: L = 4: one row 6 us against 30 us partitioned, 32 rows 152 against 625
+#: us), but not at S = 16: one Hamming row sorts in 3.8 us against 5.0 us
+#: in passes, and sending Hamming's rows through the passes slowed its list
+#: benchmark.  Batches of 8 rows partition faster from S = 256 and 1 MiB
+#: batches from S = 128, but no benchmark workload ranks batches that
+#: narrow, so they keep the sort until one does.
 _SORT_MAX_COLS = 1024
 
 #: Unit roundoff of float64, and its largest finite value (a slack's cap).
@@ -312,17 +318,26 @@ def _top(scores: np.ndarray, size: int) -> np.ndarray:
 
     Ranks by score descending with ascending index breaking ties, ``-inf``
     last: a prefix of ``np.lexsort((index, -scores))``, for ``(S,)`` or
-    ``(B, S)`` scores.  Rows of at most ``_SORT_MAX_COLS`` scores take a
-    stable sort of the negated scores (negation is exact).  Wider rows find
-    their ``size``-th best score by partition, keep every better score and
-    the lowest-indexed scores equal to it until ``size`` are kept, and sort
-    only those: O(S) per row, and the same indices, because the kept set is
-    exactly the sort's prefix.  Exact rescoring of near-ties belongs here
-    too, on the kept candidates and the scores tied with them.
+    ``(B, S)`` scores.  Three regimes, one result:
+
+    - rows of at most ``_SORT_MAX_COLS`` scores take a stable sort of the
+      negated scores (negation is exact);
+    - wider rows with ``size <= log2 S`` take ``size`` argmax passes
+      (``_argmax_passes``): L passes cost L*S, a sort S*log2 S;
+    - wider rows with longer lists find their ``size``-th best score by
+      partition, keep every better score and the lowest-indexed scores
+      equal to it until ``size`` are kept, and sort only those: O(S) per
+      row, and the same indices, because the kept set is exactly the
+      sort's prefix.
+
+    Exact rescoring of near-ties belongs here too, on the kept candidates
+    and the scores tied with them.
     """
     width = scores.shape[-1]
     if width <= _SORT_MAX_COLS:
         return np.argsort(-scores, axis=-1, kind="stable")[..., :size]
+    if size <= math.log2(width):
+        return _argmax_passes(scores, size)
     rows = scores.reshape(-1, width)
     count = rows.shape[0]
     bound = np.partition(rows, width - size, axis=-1)[:, width - size, None]
@@ -336,6 +351,43 @@ def _top(scores: np.ndarray, size: int) -> np.ndarray:
     kept = np.concatenate((better, tied[rank < room[tied_row]]))
     order = np.lexsort((kept, -rows.ravel()[kept], kept // width))
     return (kept[order] % width).reshape(scores.shape[:-1] + (size,))
+
+
+def _argmax_passes(scores: np.ndarray, size: int) -> np.ndarray:
+    """``_top`` by ``size`` passes over a copy: take each row's argmax, then mask it with ``-inf``.
+
+    ``argmax`` takes the first index of the max, so ties go to the lowest
+    index.  A pick that lands on ``-inf`` means the row has run out of
+    finite scores; its remaining places are its ``-inf`` indices in
+    ascending order, none of them picked before.  ``bound``, the last
+    pass's max, is each row's ``size``-th best score: what a window test of
+    exact ranking (near-ties of the last place) would compare against.
+    """
+    masked = scores.copy()
+    if scores.ndim == 1:
+        order = np.empty(size, dtype=np.intp)
+        for k in range(size):
+            pick = masked.argmax()
+            bound = masked[pick]
+            if bound == -math.inf:
+                order[k:] = np.flatnonzero(np.isneginf(scores))[: size - k]
+                break
+            order[k] = pick
+            masked[pick] = -math.inf
+        return order
+    rows = np.arange(scores.shape[0])
+    order = np.empty((scores.shape[0], size), dtype=np.intp)
+    for k in range(size):
+        pick = order[:, k] = masked.argmax(axis=1)
+        bound = masked[rows, pick]
+        masked[rows, pick] = -math.inf
+    # A row whose last pick is -inf ran out once it had picked every score
+    # above -inf; the passes after that may have re-picked a masked entry.
+    for row in np.flatnonzero(bound == -math.inf):
+        unpicked = np.flatnonzero(np.isneginf(scores[row]))
+        picked = scores.shape[1] - unpicked.size
+        order[row, picked:] = unpicked[: size - picked]
+    return order
 
 
 def list_decode(

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -214,6 +215,11 @@ class MailmanFactorization:
         fact.__dict__.update(rows=rows, cols=cols, blocks=blocks, _indices=indices)
         return fact
 
+    @cached_property
+    def _additions(self) -> int:
+        """Additions of one product (``op_count``), counted once: the factorization never changes."""
+        return sum((1 << block.height) - 1 + self.cols for block in self.blocks)
+
     def reconstruct(self) -> BinaryMatrix:
         """Rebuild the exact matrix from the pattern indices."""
         dense = np.zeros((self.rows, self.cols), dtype=np.uint8)
@@ -276,6 +282,13 @@ class TupleFactorization:
     @property
     def rows(self) -> int:
         return self.positions * self.q ** (self.memory + 1)
+
+    @cached_property
+    def _additions(self) -> int:
+        """Additions of one product (``op_count``), counted once: the factorization never changes."""
+        q, memory, span, blocks = self.q, self.memory, self.span, self.patterns.shape[0]
+        steps = [min(span, self.positions - span * b) for b in range(blocks)]
+        return sum(q ** (memory + s + 1) for g in steps for s in range(1, g)) + max(0, blocks - 1) * self.cols
 
     @property
     def cols(self) -> int:
@@ -467,7 +480,7 @@ def vec_times_matrix(
     """
     vector, count = _check_vectors(vector, factorization.rows)
     if ops is not None:
-        ops.additions += count * op_count(factorization).additions
+        ops.additions += count * factorization._additions
     if not vector.shape[-1]:  # no rows, so no blocks: every score is an empty sum
         return np.zeros(vector.shape[:-1] + (factorization.cols,))
     product, cells = _product, factorization.cols
@@ -603,18 +616,11 @@ def op_count(factorization: MailmanFactorization | TupleFactorization) -> OpCoun
 
     A ``TupleFactorization`` block of g positions adds q^(L+s+1) table
     entries at each step s = 1..g-1 (step 0 copies the vector's entries),
-    and every gather after the first adds S.
+    and every gather after the first adds S.  A row block of height h adds
+    2^h - 1 table entries and S gathered ones.  The count is made once per
+    factorization; each call returns a fresh ``OpCount``.
     """
-    if isinstance(factorization, TupleFactorization):
-        q, memory, span = factorization.q, factorization.memory, factorization.span
-        blocks = factorization.patterns.shape[0]
-        steps = [min(span, factorization.positions - span * b) for b in range(blocks)]
-        additions = sum(q ** (memory + s + 1) for g in steps for s in range(1, g))
-        return OpCount(multiplications=0, additions=additions + max(0, blocks - 1) * factorization.cols)
-    additions = 0
-    for block in factorization.blocks:
-        additions += (1 << block.height) - 1 + factorization.cols
-    return OpCount(multiplications=0, additions=additions)
+    return OpCount(multiplications=0, additions=factorization._additions)
 
 
 def addition_bound(rows: int, cols: int) -> float:

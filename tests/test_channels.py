@@ -124,6 +124,16 @@ def test_a_batch_of_erasure_words_prints_one_line_per_word():
         np.testing.assert_array_equal(ErasureObservation.from_string(str(single)).values, single.values)
 
 
+def test_an_erasure_observation_freezes_a_copy_not_the_callers_array():
+    for values in (np.array([0, 1, ERASED, 1]), np.array([[0.0, 1.0, -1.0, 1.0]])):
+        obs = ErasureObservation(values=values)
+        assert values.flags.writeable and not np.shares_memory(values, obs.values)
+        assert not obs.values.flags.writeable and obs.values.dtype == np.int64
+        kept = values.copy()
+        values[..., 0] = 1
+        np.testing.assert_array_equal(obs.values, kept)
+
+
 def test_bipolar_received_vector():
     obs = ErasureObservation.from_string("1e0")
     np.testing.assert_array_equal(bipolar_received_vector(obs), [1.0, 0.0, -1.0])

@@ -10,12 +10,15 @@ from fastmld import (
     HeightOutOfRange,
     OpCount,
     addition_bound,
+    build_codebook_matrix_isi,
+    enumerate_codewords,
     factorize,
     op_count,
     vec_times_matrix,
     vec_times_matrix_naive,
     vec_times_universal,
 )
+from helpers import golay_code
 
 
 def test_universal_product_height_one():
@@ -187,6 +190,29 @@ def test_op_count_instrumentation_matches_prediction():
         predicted = op_count(fact)
         assert ops.additions == predicted.additions
         assert ops.multiplications == predicted.multiplications == 0
+
+
+def test_op_count_is_the_formula_and_each_call_a_fresh_tally():
+    # Golay's memoryless one-hot codebook on position blocks: spans 8, 8, 7
+    # add 2^(s+1) entries at steps s = 1..g-1, then two gathers add S each.
+    code = enumerate_codewords(golay_code())
+    tables = [sum(2 ** (s + 1) for s in range(1, g)) for g in (8, 8, 7)]
+    by_positions = build_codebook_matrix_isi(code, 0).factorization
+    dense = (np.random.default_rng(7).random((46, 300)) < 0.5).astype(np.uint8)
+    by_rows = factorize(BinaryMatrix.from_dense(dense))
+    heights = [block.height for block in by_rows.blocks]
+    for fact, additions in (
+        (by_positions, sum(tables) + 2 * code.size),
+        (by_rows, sum((1 << h) - 1 + 300 for h in heights)),
+    ):
+        first = op_count(fact)
+        assert first == OpCount(multiplications=0, additions=additions)
+        first.merge(OpCount(multiplications=1, additions=5))
+        first.additions += 1
+        assert op_count(fact) == OpCount(multiplications=0, additions=additions)
+        ops = OpCount()
+        vec_times_matrix(np.ones(fact.rows), fact, ops)
+        assert ops == OpCount(multiplications=0, additions=additions)
 
 
 def test_addition_bound_holds():
