@@ -25,7 +25,9 @@ depend on the order a kernel summed in; a decimal coincidence of
 probabilities ties only where those fsums are equal.  Only scores within
 the float error bound of a row's max are rescored, and a row with one
 such candidate needs none.  Erasure and distance scores are small
-integers and exact already.  A positive ``tie_tolerance`` ties every
+integers and exact already.  The erasure vector is int8, so its product
+sums in integers (``vec_times_matrix``), and its scores come back as
+float64.  A positive ``tie_tolerance`` ties every
 index whose score is ``>= max - tie_tolerance``.  The reported best index
 is the smallest tied.
 
@@ -48,7 +50,6 @@ from .channels import (
     ContinuousChannel,
     DiscreteChannel,
     ErasureObservation,
-    bipolar_received_vector,
     conditional_probability_vector,
 )
 from .codes import (
@@ -84,6 +85,10 @@ from .mailman import OpCount, vec_times_matrix
 #: batches from S = 128, but no benchmark workload ranks batches that
 #: narrow, so they keep the sort until one does.
 _SORT_MAX_COLS = 1024
+
+#: Erasure score rows (-b_i, +b_i) of a received 0, 1 or ERASED (-1, so the
+#: last row): bit 1 is b = +1, bit 0 is b = -1 and an erasure b = 0.
+_ERASURE_ROWS = np.array([[1, -1], [-1, 1], [0, 0]], dtype=np.int8)
 
 #: Unit roundoff of float64, and its largest finite value (a slack's cap).
 _UNIT_ROUNDOFF = 2.0**-53
@@ -438,6 +443,8 @@ def erasure_decode(
     (unerased matches) - (unerased mismatches).  A codeword consistent
     with every surviving position scores exactly n minus the number of
     erasures, and is unique whenever fewer than d_min positions were erased.
+    The vector is int8, so the product sums in integers; the scores are
+    float64.
     """
     if code.q != 2:
         msg = f"erasure decoding is defined for binary codes, got q={code.q}"
@@ -454,12 +461,13 @@ def erasure_decode(
             f" memoryless one-hot codebook of n={code.n}, S={code.size}"
         )
         raise DimensionMismatch(msg)
-    bipolar = bipolar_received_vector(observation)
-    vector = np.empty(bipolar.shape[:-1] + (2 * code.n,))
-    # 0 - b rather than -b: an erased entry stays +0.0, so no score reads -0.0.
-    np.subtract(0.0, bipolar, out=vector[..., 0::2])
-    vector[..., 1::2] = bipolar
-    return _finish(code, vec_times_matrix(vector, codebook.factorization, ops=ops), tie_tolerance)
+    values = observation.values
+    # Entries 2i and 2i+1 are -b_i and +b_i in int8, so the product sums them
+    # in integers, exactly, and the float64 scores hold no -0.0.  np.take
+    # reads ERASED (-1) as the last row; fancy indexing was 6-9x slower.
+    vector = np.take(_ERASURE_ROWS, values, axis=0, mode="wrap").reshape(values.shape[:-1] + (2 * code.n,))
+    scores = vec_times_matrix(vector, codebook.factorization, ops=ops).astype(np.float64)
+    return _finish(code, scores, tie_tolerance)
 
 
 def syndrome_decode(

@@ -29,24 +29,34 @@ the column holds, so a codebook is never built as bits; ``reconstruct``
 rebuilds them on demand.  ``vec_times_matrix`` is the one product every
 decoder runs; ``vec_times_matrix_naive`` is the reference it is checked against.
 
-Inputs may contain ``-inf`` (log of a zero probability).  The doubling
-recursion and the column gather only ever add, and no input holds ``+inf``,
-so ``-inf`` passes through exactly and no ``NaN`` can arise; a pattern that
-leaves a ``-inf`` position unselected never touches it.
+Inputs are float or integer vectors.  A float vector may contain
+``-inf`` (log of a zero probability).  The doubling recursion and the
+column gather only ever add, and no input holds ``+inf``, so ``-inf``
+passes through exactly and no ``NaN`` can arise; a pattern that leaves a
+``-inf`` position unselected never touches it.  An integer vector (such as
+erasure decoding's hard-decision scores) is summed in the narrowest signed
+integer type that holds its largest possible column sum (``_sum_type``):
+the entries a column sums times the largest magnitude in the call, found
+by one min/max pass.  Its tables, gathers and result then take that type,
+exact by construction, and a Golay erasure chunk's tables move 1 byte per
+entry instead of 8.  Any other vector is summed in float64.
 
 The products also take a batch: B vectors at once, stored as a ``(B, m)``
 array.  Each block then tabulates all B segments against every pattern in
-one ``(2^h, B)`` table (patterns along the first axis, so a column's gather
-copies B contiguous values) -- the Four Russians idea applied to many
-vectors.  Every vector goes through the same additions in the same order as
-it would alone, so batched results equal the per-vector ones bit for bit.
-Each product allocates what it needs per call: a tile's ``(2^h, B)``
-table, its ``(S, B)`` sum and one ``(S, B)`` gather, each within
-``_TILE_BYTES`` (1 MiB), and a fresh result.  Every product ends in one
-gather-sum (``_gather_sum``) over its blocks' tables.  Importing the
-module frees an untouched 16 MiB block; glibc then raises its mmap and
-trim thresholds to 16 and 32 MiB, so those buffers, results and other
-transients reuse resident memory rather than fault in fresh pages.
+one ``(2^h, B)`` table of the sum type (patterns along the first axis, so
+a column's gather copies B contiguous values) -- the Four Russians idea
+applied to many vectors.  Every vector goes through the same additions in
+the same order as it would alone, so batched results equal the per-vector
+ones bit for bit; the batch's sum type is that of its largest entry, so a
+row of an integer batch may come back wider than it would alone, with the
+same values.  Each product allocates what it needs per call: a tile's
+``(2^h, B)`` table, its ``(S, B)`` sum and one ``(S, B)`` gather, each
+within ``_TILE_BYTES`` (1 MiB) counted in 8-byte cells whatever the sum
+type, and a fresh result.  Every product ends in one gather-sum
+(``_gather_sum``) over its blocks' tables.  Importing the module frees an
+untouched 16 MiB block; glibc then raises its mmap and trim thresholds to
+16 and 32 MiB, so those buffers, results and other transients reuse
+resident memory rather than fault in fresh pages.
 """
 
 from __future__ import annotations
@@ -91,6 +101,10 @@ _DENSE_CHUNK_CELLS = 1 << 26
 #: tables of 2^6 to 2^10 entries ran within noise of each other, and 2^12
 #: about 1.4x slower: fewer gathers stop paying once the tables leave L1.
 _POSITION_TABLE = 1 << 8
+
+#: Largest value of each signed integer type an integer vector may sum in,
+#: narrowest first (``_sum_type``).
+_SUM_TYPES = tuple((int(np.iinfo(t).max), np.dtype(t)) for t in (np.int8, np.int16, np.int32, np.int64))
 
 # Positions x columns of one chunk in ``factorize`` (64-128 KiB of narrow
 # gather index).  On Golay and random [40, 16..18] builds, 2^15 was 8-10%
@@ -413,8 +427,11 @@ def vec_times_universal(weights: np.ndarray) -> np.ndarray:
     universal matrix is the binary expansion of j with the most-significant
     bit in the first row, so output[j] is the sum of the weights at j's set
     bits.  Built by doubling in place: 2^h - 1 additions per vector.
+    Integer weights sum in ``_sum_type`` of h entries, or in their own type
+    where that is signed and wider (a product's segments keep the type of
+    its whole sum); any other weights in float64.  The result has that type.
     """
-    weights = np.asarray(weights, dtype=np.float64)
+    weights = np.asarray(weights)
     if weights.ndim not in (1, 2):
         msg = "weights must be an (h,) vector or an (h, B) batch"
         raise InvalidParams(msg)
@@ -422,8 +439,12 @@ def vec_times_universal(weights: np.ndarray) -> np.ndarray:
     if not 1 <= h <= MAX_BLOCK_HEIGHT:
         msg = f"universal height {h} outside [1, {MAX_BLOCK_HEIGHT}]"
         raise HeightOutOfRange(msg)
-    out = np.empty((1 << h,) + weights.shape[1:], dtype=np.float64)
-    out[0] = 0.0
+    dtype = _sum_type(weights, h)
+    if weights.dtype.kind == "i" and weights.dtype.itemsize > dtype.itemsize:
+        dtype = weights.dtype
+    weights = weights.astype(dtype, copy=False)
+    out = np.empty((1 << h,) + weights.shape[1:], dtype=dtype)
+    out[0] = 0
     size = 1
     for w in weights[::-1]:
         np.add(out[:size], w, out=out[size : 2 * size])
@@ -435,13 +456,13 @@ def _tabulate_rows(segments: list, table: np.ndarray) -> None:
     """Row r of ``table`` starts with segment r times the universal matrix of its height.
 
     Segments come in non-increasing length, h = len(segments[0]), and
-    column 0 of ``table`` holds 0.0.  Step j adds each row's j-th weight
+    column 0 of ``table`` holds 0.  Step j adds each row's j-th weight
     from the end to its first 2^j entries, so entry i of row r is formed
     as entry i of ``vec_times_universal(segments[r])``; a row leaves the
     sweep after its own height, and the rest of it is never written.
     """
     h = len(segments[0])
-    weights = np.empty((len(segments), h))  # right-aligned: step j adds column h - 1 - j
+    weights = np.empty((len(segments), h), dtype=table.dtype)  # right-aligned: step j adds column h - 1 - j
     for row, segment in enumerate(segments):
         weights[row, h - len(segment) :] = segment
     rows, size = len(segments), 1
@@ -452,13 +473,33 @@ def _tabulate_rows(segments: list, table: np.ndarray) -> None:
         size *= 2
 
 
-def _check_vectors(vector: np.ndarray, rows: int) -> tuple[np.ndarray, int]:
-    """The ``(m,)`` vector or ``(B, m)`` batch as float64, and its vector count."""
-    vector = np.asarray(vector, dtype=np.float64)
+def _sum_type(values: np.ndarray, terms: int) -> np.dtype:
+    """The type that sums of up to ``terms`` entries of ``values`` are formed in.
+
+    An integer array takes the narrowest signed integer type that holds
+    ``terms`` times its largest magnitude, the most such a sum can reach,
+    found by one min/max pass (float64 if not even int64 does).  Any other
+    array takes float64.
+    """
+    if values.dtype.kind not in "iu":
+        return np.dtype(np.float64)
+    largest = max(-int(values.min()), int(values.max())) if values.size else 0
+    for limit, dtype in _SUM_TYPES:
+        if terms * largest <= limit:
+            return dtype
+    return np.dtype(np.float64)
+
+
+def _check_vectors(vector: np.ndarray, rows: int, terms: int) -> tuple[np.ndarray, int]:
+    """The ``(m,)`` vector or ``(B, m)`` batch, and its vector count.
+
+    The vector comes in the type its column sums of ``terms`` entries take (``_sum_type``).
+    """
+    vector = np.asarray(vector)
     if vector.ndim not in (1, 2) or vector.shape[-1] != rows:
         msg = f"vector(s) of shape {vector.shape} do not match {rows} matrix rows"
         raise DimensionMismatch(msg)
-    return vector, 1 if vector.ndim == 1 else vector.shape[0]
+    return vector.astype(_sum_type(vector, terms), copy=False), 1 if vector.ndim == 1 else vector.shape[0]
 
 
 def vec_times_matrix(
@@ -469,22 +510,29 @@ def vec_times_matrix(
     """Compute ``vector @ M`` from the factorization of M, without multiplying.
 
     ``vector`` is one row ``(m,)`` or a batch ``(B, m)``; the result is
-    ``(S,)`` or ``(B, S)``.  Per block and vector: tabulate the segment
+    ``(S,)`` or ``(B, S)``.  An integer vector sums in the narrowest signed
+    integer type that holds its largest possible column sum (``_sum_type``;
+    a column sums one entry per position of a ``TupleFactorization`` and at
+    most one per row of row blocks), any other in float64, and the result
+    has that type.  Per block and vector: tabulate the segment
     against every pattern (2^h - 1 additions), then add each column's
     tabulated entry into the output (S additions).  A batch runs in tiles
     whose ``(S, tile)`` gather, and so their ``(2^h, tile)`` table
-    (2^h <= S), fits ``_TILE_BYTES``, or one vector at a time where such a
-    tile would be narrower than ``_MIN_TILE``.  A ``TupleFactorization``
-    runs by position blocks (``_tuple_product``), in tiles whose two tables
-    of every block's q^(g+L) entries per vector fit ``_TILE_BYTES`` too.
+    (2^h <= S), fits ``_TILE_BYTES`` in 8-byte cells, or one vector at a
+    time where such a tile would be narrower than ``_MIN_TILE``.  A
+    ``TupleFactorization`` runs by position blocks (``_tuple_product``), in
+    tiles whose two tables of every block's q^(g+L) entries per vector fit
+    ``_TILE_BYTES`` too.
     """
-    vector, count = _check_vectors(vector, factorization.rows)
+    tuples = isinstance(factorization, TupleFactorization)
+    terms = factorization.positions if tuples else factorization.rows
+    vector, count = _check_vectors(vector, factorization.rows, terms)
     if ops is not None:
         ops.additions += count * factorization._additions
     if not vector.shape[-1]:  # no rows, so no blocks: every score is an empty sum
-        return np.zeros(vector.shape[:-1] + (factorization.cols,))
+        return np.zeros(vector.shape[:-1] + (factorization.cols,), dtype=vector.dtype)
     product, cells = _product, factorization.cols
-    if isinstance(factorization, TupleFactorization):
+    if tuples:
         fact = factorization
         tables = 2 * fact.patterns.shape[0] * fact.q ** (fact.memory + fact.span)
         product, cells = _tuple_product, max(cells, tables)
@@ -503,10 +551,10 @@ def _gather_sum(pairs) -> np.ndarray:
     """The sum over ``(table, index)`` pairs of each table gathered at its index.
 
     ``(size,)`` tables give ``(S,)``; ``(size, B)`` tables, one column per
-    vector, give a fresh row-major ``(B, S)`` for per-row scans.  The first
-    gather is the sum so far (0.0 + x == x, as no table entry is -0.0).  A
-    ``(size, B)`` table is dropped before the next pair is drawn, so a
-    generator of them holds one at a time.
+    vector, give a fresh row-major ``(B, S)`` for per-row scans, in the
+    tables' type.  The first gather is the sum so far (0 + x == x, as no
+    table entry is -0.0).  A ``(size, B)`` table is dropped before the next
+    pair is drawn, so a generator of them holds one at a time.
     """
     pairs = iter(pairs)
     table, index = next(pairs)
@@ -544,7 +592,7 @@ def _tuple_product(vector: np.ndarray, factorization: TupleFactorization) -> np.
     last = factorization.positions - span * (blocks - 1)  # the last block's positions
     # Position p's entries as [p, current symbol, predecessors(, vector)].
     entries = np.ascontiguousarray(vector.T).reshape((factorization.positions, q, context) + batch)
-    tables = np.empty((2, blocks, context * q**span) + batch)
+    tables = np.empty((2, blocks, context * q**span) + batch, dtype=vector.dtype)
     tables[0, :, : q * context] = entries[::span].reshape((blocks, q * context) + batch)
     for step in range(1, span):
         rows = blocks if step < last else blocks - 1
@@ -572,8 +620,8 @@ def _swept_rows(vector: np.ndarray, factorization: MailmanFactorization):
     """Each block's table, the first 2^height entries of its sweep row, and its pattern indices."""
     blocks = factorization.blocks
     per = max(1, _TILE_BYTES // (8 << blocks[0].height))  # rows of a table that fits _TILE_BYTES
-    table = np.empty((min(per, len(blocks)), 1 << blocks[0].height))
-    table[:, 0] = 0.0
+    table = np.empty((min(per, len(blocks)), 1 << blocks[0].height), dtype=vector.dtype)
+    table[:, 0] = 0
     for start in range(0, len(blocks), per):
         sweep = blocks[start : start + per]
         _tabulate_rows([vector[block.row_offset : block.row_offset + block.height] for block in sweep], table)
@@ -592,12 +640,13 @@ def vec_times_matrix_naive(
 ) -> np.ndarray:
     """Reference product: per column, sum the vector entries at set bits.
 
-    Takes one vector ``(m,)`` or a batch ``(B, m)`` like ``vec_times_matrix``.
-    Zero-weight positions are skipped outright, so ``-inf`` entries there
-    are never touched.  Tallies one addition per set bit and vector.
+    Takes one vector ``(m,)`` or a batch ``(B, m)`` like ``vec_times_matrix``,
+    and sums an integer one in ``_sum_type`` of m entries.  Zero-weight
+    positions are skipped outright, so ``-inf`` entries there are never
+    touched.  Tallies one addition per set bit and vector.
     """
-    vector, count = _check_vectors(vector, matrix.rows)
-    out = np.zeros(vector.shape[:-1] + (matrix.cols,), dtype=np.float64)
+    vector, count = _check_vectors(vector, matrix.rows, matrix.rows)
+    out = np.zeros(vector.shape[:-1] + (matrix.cols,), dtype=vector.dtype)
     if matrix.rows == 0:
         return out
     chunk = max(1, _DENSE_CHUNK_CELLS // (matrix.rows * max(1, count)))
@@ -605,7 +654,7 @@ def vec_times_matrix_naive(
         stop = min(start + chunk, matrix.cols)
         dense = np.unpackbits(matrix.bits[:, start:stop], axis=0, count=matrix.rows)
         mask = dense.astype(bool)
-        out[..., start:stop] = np.where(mask, vector[..., :, None], 0.0).sum(axis=-2)
+        out[..., start:stop] = np.where(mask, vector[..., :, None], 0).sum(axis=-2)
         if ops is not None:
             ops.additions += count * int(dense.sum())
     return out

@@ -344,7 +344,10 @@ def _run_trials(config: SimConfig, code, linear, structure, trials: int, picks, 
         else:
             decoded = result.best_codeword
             hit = result.ties[np.arange(count), tx]
-            tally.tie_events += int((result.ties.sum(axis=1) > 1).sum())
+            # Every row's mask holds at least its best index, so a mask of no
+            # more marks than rows has no row with a tie to count.
+            if np.count_nonzero(result.ties) > count:
+                tally.tie_events += int((np.count_nonzero(result.ties, axis=1) > 1).sum())
         tally.word_errors += count - int(hit.sum())
         tally.symbol_errors += int((decoded != words).sum())
         if config.oracle_check:
